@@ -51,7 +51,6 @@ from .lattice import (
 )
 from .symplectic import (
     PairingSpace,
-    comm_pairing,
     is_isotropic,
     max_isotropic_order,
     pairing_space,
@@ -77,7 +76,6 @@ __all__ = [
     "all_subgroups",
     "build_class_report",
     "closure",
-    "comm_pairing",
     "diffeo_class",
     "family_for_class",
     "format_element",

@@ -126,6 +126,23 @@ class FiniteAbelianGroup:
         return total % m
 
 
+def radix_rank(digits: Coords, radices: Coords) -> int:
+    """Mixed-radix rank of digits below their radices, first most significant."""
+    idx = 0
+    for c, d in zip(digits, radices):
+        idx = idx * d + c
+    return idx
+
+
+def radix_unrank(idx: int, radices: Coords) -> Coords:
+    """Inverse of radix_rank for 0 <= idx < prod(radices)."""
+    rev = []
+    for d in reversed(radices):
+        idx, c = divmod(idx, d)
+        rev.append(c)
+    return tuple(reversed(rev))
+
+
 def make_group(cyclic_factors) -> FiniteAbelianGroup:
     """Canonical invariant-factor form of a direct sum of cyclic groups.
 

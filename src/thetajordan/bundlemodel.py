@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 from dataclasses import dataclass
 from time import perf_counter
@@ -27,7 +28,11 @@ from .symplectic import structural_min_abelian_index
 
 SCHEMA_VERSION = "theta-jordan/1"
 DEFAULT_THRESHOLDS = (1, 5, 10, 1_000_000)
-DEFAULT_SWEEP_ROUNDS = 24
+SWEEP_ROUNDS = 24
+
+# Test hook: when set, the oracle searches a deliberately wrong (abelianized)
+# multiplication table, which must drive a run's exit code to 1.
+CORRUPT_ENV_VAR = "THETA_JORDAN_CORRUPT_MUL"
 
 # The level-k symmetry group is pinned to the full k-torsion of the torus,
 # the smallest model compatible with the construction; reports carry this
@@ -104,6 +109,13 @@ class LevelData:
     base: FiniteAbelianGroup
     theta: ThetaGroup
 
+    @property
+    def label(self) -> str:
+        """'level n' for a cyclic base (of order n), else the base's spec."""
+        if self.base.rank <= 1:
+            return f"level {self.n}"
+        return self.base.spec_string()
+
 
 def level_data(n: int) -> LevelData:
     """Level n: cyclic base of order n, theta group of order n^3."""
@@ -148,20 +160,24 @@ class VerificationReport:
     threshold_certificates: tuple[Certificate, ...]
 
 
-def _concrete_for(theta: ThetaGroup, mul_override, cap: int) -> ConcreteGroup:
-    if mul_override is None:
-        return theta.to_concrete(cap)
-    # test hook: replaces the group law on indices outright
-    return ConcreteGroup.from_mul_fn(theta.order, mul_override(theta.order))
+def _oracle_table(theta: ThetaGroup, cap: int) -> ConcreteGroup:
+    """The table the oracle searches: theta's own, or under CORRUPT_ENV_VAR
+    the cyclic group of the same order."""
+    if os.environ.get(CORRUPT_ENV_VAR):
+        order = theta.order
+        return ConcreteGroup.from_mul_fn(order, lambda i, j: (i + j) % order)
+    return theta.to_concrete(cap)
 
 
 def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
-                    mul_override=None, fallback: bool = False):
+                    fallback: bool = False, evidence: dict | None = None):
     """(max_abelian_order, min_index, method, disagreement-or-None).
 
     mode 'oracle' runs the exhaustive subgroup search (CapExceeded above the
     cap unless fallback is allowed), 'structural' uses the closed form, and
     'both' runs both where the oracle fits and records any disagreement.
+    Calls that share an `evidence` dict run each level's oracle search once;
+    it keeps these tuples, never a table, and never changes a result.
     """
     if mode not in ("oracle", "structural", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -171,28 +187,28 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     can_oracle = theta.order <= oracle_cap
     if mode == "oracle" and not can_oracle and not fallback:
         raise CapExceeded(
-            f"level {level.n}: theta group order {theta.order} exceeds the "
+            f"{level.label}: theta group order {theta.order} exceeds the "
             f"oracle cap {oracle_cap}; use mode 'structural'"
         )
-    if mode != "structural" and can_oracle:
-        concrete = _concrete_for(theta, mul_override, oracle_cap)
-        omax = max_abelian_order(concrete, oracle_cap)
+    if mode == "structural" or not can_oracle:
+        return structural_max, structural_idx, "structural", None
+    evidence = {} if evidence is None else evidence
+    key = (level, mode)
+    if key not in evidence:
+        omax = max_abelian_order(_oracle_table(theta, oracle_cap), oracle_cap)
         oidx = theta.order // omax
-        if mode == "oracle":
-            return omax, oidx, "oracle", None
         disagreement = None
-        if (omax, oidx) != (structural_max, structural_idx):
+        if mode == "both" and (omax, oidx) != (structural_max, structural_idx):
             disagreement = (
-                f"level {level.n}: oracle max abelian order {omax} (index "
+                f"{level.label}: oracle max abelian order {omax} (index "
                 f"{oidx}) disagrees with structural {structural_max} "
                 f"(index {structural_idx})"
             )
-        return omax, oidx, "both", disagreement
-    return structural_max, structural_idx, "structural", None
+        evidence[key] = omax, oidx, mode, disagreement
+    return evidence[key]
 
 
-def _sanity_sweep(theta: ThetaGroup, rng: random.Random,
-                  rounds: int = DEFAULT_SWEEP_ROUNDS) -> list[str]:
+def _sanity_sweep(theta: ThetaGroup, rng: random.Random) -> list[str]:
     """Seeded random group-law spot checks; returns violation strings.
 
     Works at any level because it never enumerates the group: associativity
@@ -200,7 +216,7 @@ def _sanity_sweep(theta: ThetaGroup, rng: random.Random,
     """
     out = []
     e = theta.identity()
-    for _ in range(rounds):
+    for _ in range(SWEEP_ROUNDS):
         g = theta.random_element(rng)
         h = theta.random_element(rng)
         f = theta.random_element(rng)
@@ -217,20 +233,19 @@ def _sanity_sweep(theta: ThetaGroup, rng: random.Random,
 
 def verify_level(level: LevelData, mode: str = "both",
                  oracle_cap: int = DEFAULT_ORACLE_CAP, seed: int = 0,
-                 sweep_rounds: int = DEFAULT_SWEEP_ROUNDS,
-                 mul_override=None, with_timing: bool = True):
+                 with_timing: bool = True, evidence: dict | None = None):
     """Verify one level; returns (ReportEntry, violation strings)."""
     start = perf_counter()
     rng = random.Random(seed * 1_000_003 + level.n)
-    violations = _sanity_sweep(level.theta, rng, sweep_rounds)
+    violations = _sanity_sweep(level.theta, rng)
     maxab, idx, method, disagreement = _index_evidence(
-        level, mode, oracle_cap, mul_override
+        level, mode, oracle_cap, evidence=evidence
     )
     if disagreement:
         violations.append(disagreement)
     if idx < level.n:
         violations.append(
-            f"level {level.n}: min abelian index {idx} is below the bound "
+            f"{level.label}: min abelian index {idx} is below the bound "
             f"{level.n} ({method})"
         )
     elapsed = round(perf_counter() - start, 6) if with_timing else None
@@ -247,7 +262,7 @@ def verify_level(level: LevelData, mode: str = "both",
 
 def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
                        oracle_cap: int = DEFAULT_ORACLE_CAP,
-                       mul_override=None) -> Certificate:
+                       evidence: dict | None = None) -> Certificate:
     """Smallest level of the class above the threshold, with index evidence.
 
     The oracle supplies the evidence when the group fits under the cap and
@@ -261,7 +276,7 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
         n += 1
     level = level_data(n)
     _, idx, method, disagreement = _index_evidence(
-        level, mode, oracle_cap, mul_override, fallback=True
+        level, mode, oracle_cap, fallback=True, evidence=evidence
     )
     if disagreement:
         raise BoundViolation(disagreement)
@@ -282,9 +297,7 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
 def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
                        oracle_cap: int = DEFAULT_ORACLE_CAP,
                        thresholds=DEFAULT_THRESHOLDS, seed: int = 0,
-                       sweep_rounds: int = DEFAULT_SWEEP_ROUNDS,
-                       strict: bool = True, with_timing: bool = True,
-                       mul_override=None):
+                       strict: bool = True, with_timing: bool = True):
     """Report for one parity class; returns (VerificationReport, violations).
 
     With strict=True (library default) any violation aborts with a
@@ -293,9 +306,10 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
     """
     entries = []
     violations: list[str] = []
+    evidence: dict = {}  # certificates reuse the entries' oracle searches
     for level in family_for_class(cls, n_max):
         entry, vio = verify_level(
-            level, mode, oracle_cap, seed, sweep_rounds, mul_override, with_timing
+            level, mode, oracle_cap, seed, with_timing, evidence
         )
         entries.append(entry)
         violations.extend(vio)
@@ -303,7 +317,7 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
     for c in thresholds:
         try:
             certificates.append(
-                jordan_certificate(cls, c, mode, oracle_cap, mul_override)
+                jordan_certificate(cls, c, mode, oracle_cap, evidence)
             )
         except BoundViolation as exc:
             violations.append(str(exc))

@@ -7,13 +7,13 @@ Exit codes: 0 all bounds hold, 1 a verified property failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .abelian import CapExceeded, parse_group_spec
 from .bundlemodel import (
+    CORRUPT_ENV_VAR,
     DiffeoClass,
     LevelData,
     VerificationReport,
@@ -31,10 +31,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-# Test hook: when set, verification runs against a deliberately wrong
-# (abelianized) multiplication table, which must drive the exit code to 1.
-CORRUPT_ENV_VAR = "THETA_JORDAN_CORRUPT_MUL"
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "table": render_table}
 
@@ -136,7 +132,7 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _base_group_report(config: RunConfig, mul_override):
+def _base_group_report(config: RunConfig):
     """Single-group run for --base-group; the bound target is |K|."""
     base = parse_group_spec(config.base_group)
     cls = DiffeoClass(base.order % 2)
@@ -151,7 +147,6 @@ def _base_group_report(config: RunConfig, mul_override):
         mode=config.mode,
         oracle_cap=config.oracle_cap,
         seed=config.seed,
-        mul_override=mul_override,
         with_timing=not config.no_timestamps,
     )
     return VerificationReport(cls, (entry,), ()), violations
@@ -163,15 +158,11 @@ def run(config: RunConfig):
     The report is rendered and written (stdout or --out) even when a
     violation was found, so failures stay auditable.
     """
-    mul_override = None
-    if os.environ.get(CORRUPT_ENV_VAR):
-        mul_override = lambda order: (lambda i, j: (i + j) % order)
-
     violations: list[str] = []
     reports = []
     try:
         if config.base_group:
-            report, vio = _base_group_report(config, mul_override)
+            report, vio = _base_group_report(config)
             reports.append(report)
             violations.extend(vio)
         else:
@@ -184,7 +175,6 @@ def run(config: RunConfig):
                     seed=config.seed,
                     strict=False,
                     with_timing=not config.no_timestamps,
-                    mul_override=mul_override,
                 )
                 reports.append(report)
                 violations.extend(vio)

@@ -24,6 +24,8 @@ from .abelian import (
     Coords,
     ENUMERATION_CAP,
     FiniteAbelianGroup,
+    radix_rank,
+    radix_unrank,
 )
 from .lattice import ConcreteGroup, Subgroup
 
@@ -41,6 +43,8 @@ class ThetaGroup:
         self.base = base
         self.m = base.order
         self.order = self.m ** 3
+        fs = base.invariant_factors
+        self._radices = (self.m, *fs, *fs)  # index() digits: a, then k, then l
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ThetaGroup) and other.base == self.base
@@ -111,26 +115,15 @@ class ThetaGroup:
     def index(self, g: ThetaElement) -> int:
         """Mixed-radix rank of (a, k, l), a most significant; identity -> 0."""
         self.check_element(g)
-        fs = self.base.invariant_factors
-        idx = g.a
-        for c, d in zip(g.k, fs):
-            idx = idx * d + c
-        for c, d in zip(g.l, fs):
-            idx = idx * d + c
-        return idx
+        return radix_rank((g.a, *g.k, *g.l), self._radices)
 
     def element(self, idx: int) -> ThetaElement:
         """Inverse of index()."""
         if not 0 <= idx < self.order:
             raise ValueError(f"index {idx} out of range 0..{self.order - 1}")
-        fs = self.base.invariant_factors
-        rev = []
-        for d in reversed(fs + fs):
-            rev.append(idx % d)
-            idx //= d
-        coords = tuple(reversed(rev))
-        r = len(fs)
-        return ThetaElement(idx, coords[:r], coords[r:])
+        a, *coords = radix_unrank(idx, self._radices)
+        r = self.base.rank
+        return ThetaElement(a, tuple(coords[:r]), tuple(coords[r:]))
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[ThetaElement]:
         """All elements in index order."""

@@ -28,7 +28,7 @@ class ConcreteGroup:
     """
 
     def __init__(self, mul_table, inv_table=None, identity: int = 0,
-                 describe: Callable[[int], str] | None = None, check: bool = True):
+                 describe: Callable[[int], str] | None = None):
         self.order = len(mul_table)
         if self.order == 0:
             raise ValueError("empty multiplication table")
@@ -44,8 +44,7 @@ class ConcreteGroup:
             raise ValueError("inverse table length does not match the order")
         self._describe = describe
         self._cent_masks: list[int] | None = None
-        if check:
-            self._verify()
+        self._verify()
 
     @classmethod
     def from_mul_fn(cls, order: int, mul_fn: Callable[[int, int], int],

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import CapExceeded, Coords, ENUMERATION_CAP, FiniteAbelianGroup
+from .abelian import radix_rank, radix_unrank
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, all_subgroups
 
 Point = tuple[Coords, Coords]
@@ -49,7 +50,8 @@ class PairingSpace:
         return (self.base.neg(p[0]), self.base.neg(p[1]))
 
     def pairing(self, p: Point, q: Point) -> int:
-        """Antisymmetric, bilinear, nondegenerate exponent pairing mod m."""
+        """Antisymmetric, bilinear, nondegenerate exponent pairing mod m: the
+        exponent of the central commutator of any theta-group lifts of p, q."""
         k, l = p
         k2, l2 = q
         m = self.m
@@ -68,38 +70,24 @@ class PairingSpace:
         fs = self.base.invariant_factors
         self.base.check_element(p[0])
         self.base.check_element(p[1])
-        idx = 0
-        for c, d in zip(p[0] + p[1], fs + fs):
-            idx = idx * d + c
-        return idx
+        return radix_rank(p[0] + p[1], fs + fs)
 
     def point(self, idx: int) -> Point:
         if not 0 <= idx < self.order:
             raise ValueError(f"index {idx} out of range 0..{self.order - 1}")
         fs = self.base.invariant_factors
-        rev = []
-        for d in reversed(fs + fs):
-            rev.append(idx % d)
-            idx //= d
-        coords = tuple(reversed(rev))
-        r = len(fs)
-        return (coords[:r], coords[r:])
+        coords = radix_unrank(idx, fs + fs)
+        return (coords[:len(fs)], coords[len(fs):])
 
     def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
         """The additive group of the space as an explicit table."""
         pts = self.points(cap)
-        pos = {p: i for i, p in enumerate(pts)}
-        table = [[pos[self.add(p, q)] for q in pts] for p in pts]
+        table = [[self.index(self.add(p, q)) for q in pts] for p in pts]
         return ConcreteGroup(table, identity=0, describe=lambda i: str(pts[i]))
 
 
 def pairing_space(base: FiniteAbelianGroup) -> PairingSpace:
     return PairingSpace(base)
-
-
-def comm_pairing(space: PairingSpace, p: Point, q: Point) -> int:
-    """Exponent of the central commutator of any lifts of p and q."""
-    return space.pairing(p, q)
 
 
 def is_isotropic(space: PairingSpace, points) -> bool:

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from thetajordan.bundlemodel import (
+    CORRUPT_ENV_VAR,
     BoundViolation,
     DiffeoClass,
     build_class_report,
@@ -14,6 +15,7 @@ from thetajordan.bundlemodel import (
     torsion_inclusion,
     verify_level,
 )
+from thetajordan.heis import ThetaGroup
 
 
 class TestTorsionGroup:
@@ -163,9 +165,9 @@ class TestVerifyLevel:
         entry, _ = verify_level(level_data(2), with_timing=False)
         assert entry.elapsed_s is None
 
-    def test_corrupt_mul_is_flagged(self):
-        override = lambda order: (lambda i, j: (i + j) % order)
-        entry, violations = verify_level(level_data(2), mul_override=override)
+    def test_corrupt_mul_is_flagged(self, monkeypatch):
+        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
+        entry, violations = verify_level(level_data(2))
         assert entry.min_abelian_index == 1
         assert violations  # both the bound and the agreement break
 
@@ -213,10 +215,10 @@ class TestJordanCertificate:
         with pytest.raises(ValueError):
             jordan_certificate(DiffeoClass(0), 0)
 
-    def test_corruption_raises_bound_violation(self):
-        override = lambda order: (lambda i, j: (i + j) % order)
+    def test_corruption_raises_bound_violation(self, monkeypatch):
+        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
         with pytest.raises(BoundViolation):
-            jordan_certificate(DiffeoClass(0), 1, mul_override=override)
+            jordan_certificate(DiffeoClass(0), 1)
 
 
 def _timed(fn):
@@ -244,9 +246,25 @@ class TestClassReport:
         assert ns == sorted(ns) == [1, 3, 5, 7]
         assert all(e.min_abelian_index >= e.n for e in report.entries)
 
-    def test_strict_mode_aborts_on_violation(self):
-        override = lambda order: (lambda i, j: (i + j) % order)
+    def test_strict_mode_aborts_on_violation(self, monkeypatch):
+        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
         with pytest.raises(BoundViolation):
-            build_class_report(
-                DiffeoClass(0), 2, thresholds=(), mul_override=override
-            )
+            build_class_report(DiffeoClass(0), 2, thresholds=())
+
+    def test_certificates_reuse_entry_tables(self, monkeypatch):
+        # entries n = 2, 4, 6; the certificates for thresholds 1 and 5 land
+        # on n = 2 and 6, whose oracle search the entries already ran
+        built = []
+        original = ThetaGroup.to_concrete
+
+        def counting(self, *args, **kwargs):
+            built.append(self.order)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThetaGroup, "to_concrete", counting)
+        report, violations = build_class_report(
+            DiffeoClass(0), 6, thresholds=(1, 5), strict=False
+        )
+        assert violations == []
+        assert built == [8, 64, 216]
+        assert [c.n for c in report.threshold_certificates] == [2, 6]

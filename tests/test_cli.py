@@ -146,6 +146,13 @@ class TestRun:
         assert report["manifold_class"] == 0
         assert report["threshold_certificates"] == []
 
+    def test_base_group_cap_error_names_the_group(self, capsys):
+        doc, code = run(parse("verify --base-group Z4xZ4 --mode oracle"))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "Z4xZ4" in err
+        assert "level 16" not in err
+
     def test_bad_base_group_is_usage_error(self, capsys):
         doc, code = run(parse("verify --base-group Q8"))
         assert code == EXIT_USAGE

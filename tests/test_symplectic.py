@@ -4,7 +4,6 @@ from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
 from thetajordan.heis import ThetaElement, theta_group
 from thetajordan.lattice import all_subgroups, is_abelian
 from thetajordan.symplectic import (
-    comm_pairing,
     is_isotropic,
     max_isotropic_order,
     pairing_space,
@@ -46,11 +45,6 @@ class TestPairing:
                         assert P.pairing(P.add(p, r), q) == (
                             P.pairing(p, q) + P.pairing(r, q)
                         ) % m
-
-    def test_comm_pairing_alias(self):
-        P = space([2])
-        p, q = ((1,), (0,)), ((0,), (1,))
-        assert comm_pairing(P, p, q) == P.pairing(p, q)
 
     def test_index_point_roundtrip(self):
         for factors in ([1], [2], [4, 2]):
