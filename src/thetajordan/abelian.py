@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd, prod
+from typing import NamedTuple
 
 # Elements and characters are both plain coordinate tuples.
 Coords = tuple[int, ...]
@@ -91,11 +92,25 @@ class FiniteAbelianGroup:
     def add(self, x: AbElement, y: AbElement) -> AbElement:
         self.check_element(x)
         self.check_element(y)
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
+        return self._add(x, y)
 
     def neg(self, x: AbElement) -> AbElement:
         self.check_element(x)
+        return self._neg(x)
+
+    # Unchecked arithmetic for callers that have already validated their
+    # operands (the theta law checks each operand once at entry).
+    def _add(self, x: AbElement, y: AbElement) -> AbElement:
+        return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
+
+    def _neg(self, x: AbElement) -> AbElement:
         return tuple(-a % d for a, d in zip(x, self.invariant_factors))
+
+    def _evaluate(self, char: Character, x: AbElement, m: int) -> int:
+        # m must be a positive multiple of every invariant factor
+        return sum(
+            c * a * (m // d) for c, a, d in zip(char, x, self.invariant_factors)
+        ) % m
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[AbElement]:
         """All elements in lexicographic coordinate order; zero comes first."""
@@ -118,12 +133,32 @@ class FiniteAbelianGroup:
             m = self.order
         if m < 1:
             raise ValueError(f"ambient order {m} must be >= 1")
-        total = 0
-        for c, a, d in zip(char, x, self.invariant_factors):
+        for d in self.invariant_factors:
             if m % d:
                 raise ValueError(f"factor {d} does not divide ambient order {m}")
-            total += c * a * (m // d)
-        return total % m
+        return self._evaluate(char, x, m)
+
+
+class IndexTables(NamedTuple):
+    """Arithmetic of a group on the mixed-radix ranks 0..order-1 of its
+    elements (the positions in elements()): add[x][y] and neg[x] are ranks,
+    ev[l][x] is the exponent evaluate(l, x) with the default ambient order."""
+
+    add: list[list[int]]
+    neg: list[int]
+    ev: list[list[int]]
+
+
+def index_tables(G: FiniteAbelianGroup, cap: int = ENUMERATION_CAP) -> IndexTables:
+    """Add, neg and evaluation tables of G, built once from the validated
+    add, neg and evaluate; CapExceeded when G's order exceeds the cap."""
+    els = G.elements(cap)
+    fs = G.invariant_factors
+    return IndexTables(
+        add=[[radix_rank(G.add(x, y), fs) for y in els] for x in els],
+        neg=[radix_rank(G.neg(x), fs) for x in els],
+        ev=[[G.evaluate(l, x) for x in els] for l in els],
+    )
 
 
 def radix_rank(digits: Coords, radices: Coords) -> int:

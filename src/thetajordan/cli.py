@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .abelian import CapExceeded, parse_group_spec
+from .abelian import CapExceeded, ENUMERATION_CAP, parse_group_spec
 from .bundlemodel import (
     CORRUPT_ENV_VAR,
     DiffeoClass,
@@ -77,7 +77,8 @@ def parse_args(argv=None) -> RunConfig:
     )
     verify.add_argument(
         "--oracle-cap", dest="oracle_cap", type=int, default=DEFAULT_ORACLE_CAP,
-        help="largest group order the oracle may enumerate (default %(default)s)",
+        help="largest group order the oracle may enumerate, at most "
+             f"{ENUMERATION_CAP} (default %(default)s)",
     )
     verify.add_argument(
         "--format", dest="output_format", choices=["json", "csv", "table"],
@@ -103,8 +104,11 @@ def parse_args(argv=None) -> RunConfig:
     ns = parser.parse_args(argv)
     if ns.n_max < 1:
         parser.error(f"--max-n must be >= 1, got {ns.n_max}")
-    if ns.oracle_cap < 1:
-        parser.error(f"--oracle-cap must be >= 1, got {ns.oracle_cap}")
+    if not 1 <= ns.oracle_cap <= ENUMERATION_CAP:
+        parser.error(
+            f"--oracle-cap must be in 1..{ENUMERATION_CAP} (the enumeration "
+            f"cap), got {ns.oracle_cap}"
+        )
     return RunConfig(
         manifold_class=ns.manifold_class,
         n_max=ns.n_max,

@@ -24,6 +24,7 @@ from .abelian import (
     Coords,
     ENUMERATION_CAP,
     FiniteAbelianGroup,
+    index_tables,
     radix_rank,
     radix_unrank,
 )
@@ -69,18 +70,18 @@ class ThetaGroup:
     def mul(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
         self.check_element(g)
         self.check_element(h)
-        twist = self.base.evaluate(h.l, g.k, self.m)
+        K = self.base
+        twist = K._evaluate(h.l, g.k, self.m)
         return ThetaElement(
-            (g.a + h.a + twist) % self.m,
-            self.base.add(g.k, h.k),
-            self.base.add(g.l, h.l),
+            (g.a + h.a + twist) % self.m, K._add(g.k, h.k), K._add(g.l, h.l)
         )
 
     def inv(self, g: ThetaElement) -> ThetaElement:
         """Closed-form inverse (-a + <l, k>, -k, -l)."""
         self.check_element(g)
-        twist = self.base.evaluate(g.l, g.k, self.m)
-        return ThetaElement((twist - g.a) % self.m, self.base.neg(g.k), self.base.neg(g.l))
+        K = self.base
+        twist = K._evaluate(g.l, g.k, self.m)
+        return ThetaElement((twist - g.a) % self.m, K._neg(g.k), K._neg(g.l))
 
     def commutator(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
         """g h g^-1 h^-1, computed two ways that must agree.
@@ -90,9 +91,10 @@ class ThetaGroup:
         broken and raises RuntimeError.  The result is always central.
         """
         direct = self.mul(self.mul(g, h), self.inv(self.mul(h, g)))
+        # mul has validated g and h
         twist = (
-            self.base.evaluate(h.l, g.k, self.m)
-            - self.base.evaluate(g.l, h.k, self.m)
+            self.base._evaluate(h.l, g.k, self.m)
+            - self.base._evaluate(g.l, h.k, self.m)
         ) % self.m
         closed = ThetaElement(twist, self.base.zero(), self.base.zero())
         if direct != closed:
@@ -167,21 +169,42 @@ class ThetaGroup:
         return Subgroup(tuple(members))
 
     def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
-        """Materialize multiplication and inverse tables over element indices."""
+        """Materialize multiplication and inverse tables over element indices.
+
+        The tables are computed on indices a*m^2 + k*m + l (k, l the ranks
+        of the base coordinates, as in index()) from the base's add, neg
+        and evaluation tables; mul and inv are the reference they must
+        equal.  The row of (a, k, l) is the row of (0, k, l) rotated by the
+        central element (a, 0, 0).
+        """
         if self.order > cap:
             raise CapExceeded(
                 f"theta group of order {self.order} exceeds the table cap {cap}"
             )
-        els = self.elements(cap)
-        index = self.index
-        mul = self.mul
-        table = [[index(mul(g, h)) for h in els] for g in els]
-        inv_table = [index(self.inv(g)) for g in els]
+        m, n = self.m, self.order
+        mm = m * m
+        add, neg, ev = index_tables(self.base, cap)
+        ranks = range(m)
+        rows0 = [
+            [
+                (a2 + ev[l2][k]) % m * mm + add[k][k2] * m + add[l][l2]
+                for a2 in ranks for k2 in ranks for l2 in ranks
+            ]
+            for k in ranks for l in ranks
+        ]
+        table = []
+        for a in ranks:
+            rotate = list(range(a * mm, n)) + list(range(a * mm))
+            table.extend([rotate[x] for x in row] for row in rows0)
+        inv_table = [
+            (ev[l][k] - a) % m * mm + neg[k] * m + neg[l]
+            for a in ranks for k in ranks for l in ranks
+        ]
         return ConcreteGroup(
             table,
             inv_table=inv_table,
             identity=0,
-            describe=lambda i: format_element(els[i]),
+            describe=lambda i: format_element(self.element(i)),
         )
 
     def random_element(self, rng) -> ThetaElement:

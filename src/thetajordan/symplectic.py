@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import CapExceeded, Coords, ENUMERATION_CAP, FiniteAbelianGroup
-from .abelian import radix_rank, radix_unrank
+from .abelian import index_tables, radix_rank, radix_unrank
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, all_subgroups
 
 Point = tuple[Coords, Coords]
@@ -80,10 +80,19 @@ class PairingSpace:
         return (coords[:len(fs)], coords[len(fs):])
 
     def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
-        """The additive group of the space as an explicit table."""
-        pts = self.points(cap)
-        table = [[self.index(self.add(p, q)) for q in pts] for p in pts]
-        return ConcreteGroup(table, identity=0, describe=lambda i: str(pts[i]))
+        """The additive group of the space as an explicit table on indices
+        k*m + l, computed from the base's add table."""
+        if self.order > cap:
+            raise CapExceeded(
+                f"pairing space of order {self.order} exceeds the cap {cap}"
+            )
+        m = self.m
+        add = index_tables(self.base, cap).add
+        table = [
+            [add[k][k2] * m + add[l][l2] for k2 in range(m) for l2 in range(m)]
+            for k in range(m) for l in range(m)
+        ]
+        return ConcreteGroup(table, identity=0, describe=lambda i: str(self.point(i)))
 
 
 def pairing_space(base: FiniteAbelianGroup) -> PairingSpace:

@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,15 @@ class TestParseArgs:
             with pytest.raises(SystemExit) as err:
                 parse(bad)
             assert err.value.code == EXIT_USAGE
+
+    def test_oracle_cap_above_enumeration_cap_exits_2(self, capsys):
+        assert parse("verify --oracle-cap 4096").oracle_cap == 4096
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            main(shlex.split("verify --oracle-cap 10000 --max-n 20"))
+        assert time.perf_counter() - start < 1.0  # rejected before any table
+        assert err.value.code == EXIT_USAGE
+        assert "4096" in capsys.readouterr().err
 
 
 class TestRun:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from thetajordan.abelian import CapExceeded, make_group
+from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
 from thetajordan.heis import (
     ThetaElement,
     format_element,
@@ -12,7 +12,7 @@ from thetajordan.heis import (
     theta_group,
 )
 
-from helpers import char_value_complex, root_of_unity
+from helpers import char_value_complex, divisor_chains, root_of_unity
 
 
 def theta(factors):
@@ -256,8 +256,9 @@ class TestRendering:
 
 class TestConcrete:
     def test_tables_match_element_law(self):
-        for factors in ([1], [2], [3]):
-            G = theta(factors)
+        # every base with |K| <= 8, so every theta order up to 512
+        for factors in divisor_chains(8):
+            G = theta_group(FiniteAbelianGroup(factors))
             C = G.to_concrete()
             els = G.elements()
             assert C.order == G.order

@@ -44,6 +44,16 @@ class TestConcreteGroup:
         with pytest.raises(ValueError):
             ConcreteGroup(table)
 
+    def test_rejects_swapped_entries_at_order_512(self):
+        # two entries of one row swapped: the identity and inverse laws
+        # still hold, and few random triples touch the swapped entries
+        C = concrete_theta([8])
+        table = concrete_mul_table(C)
+        table[1][2], table[1][3] = table[1][3], table[1][2]
+        inverses = [C.inv(i) for i in range(C.order)]
+        with pytest.raises(ValueError, match="not associative"):
+            ConcreteGroup(table, inv_table=inverses)
+
     def test_from_mul_fn_derives_inverses(self):
         G = ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
         assert [G.inv(i) for i in range(6)] == [0, 5, 4, 3, 2, 1]

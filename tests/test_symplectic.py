@@ -46,6 +46,17 @@ class TestPairing:
                             P.pairing(p, q) + P.pairing(r, q)
                         ) % m
 
+    def test_table_matches_point_law(self):
+        for fs in divisor_chains(8):
+            P = pairing_space(FiniteAbelianGroup(fs))
+            C = P.to_concrete()
+            pts = P.points()
+            assert C.order == P.order
+            assert C.identity == 0
+            for i, p in enumerate(pts):
+                for j, q in enumerate(pts):
+                    assert C.mul(i, j) == P.index(P.add(p, q))
+
     def test_index_point_roundtrip(self):
         for factors in ([1], [2], [4, 2]):
             P = space(factors)
