@@ -329,7 +329,7 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
 
 # --- serialization -------------------------------------------------------
 
-def report_to_dict(report: VerificationReport, with_timing: bool = True) -> dict:
+def report_to_dict(report: VerificationReport) -> dict:
     entries = []
     for e in report.entries:
         row = {
@@ -339,7 +339,7 @@ def report_to_dict(report: VerificationReport, with_timing: bool = True) -> dict
             "min_abelian_index": e.min_abelian_index,
             "method": e.method,
         }
-        if with_timing and e.elapsed_s is not None:
+        if e.elapsed_s is not None:
             row["elapsed_s"] = e.elapsed_s
         entries.append(row)
     certificates = [
@@ -360,7 +360,7 @@ def report_to_dict(report: VerificationReport, with_timing: bool = True) -> dict
     }
 
 
-def document(reports, config_echo: dict, violations, with_timing: bool = True,
+def document(reports, config_echo: dict, violations,
              generated_at: str | None = None) -> dict:
     """Assemble the versioned report document all renderers consume."""
     doc = {
@@ -368,7 +368,7 @@ def document(reports, config_echo: dict, violations, with_timing: bool = True,
         "ok": not violations,
         "model_note": MODEL_NOTE,
         "config": dict(config_echo),
-        "reports": [report_to_dict(r, with_timing) for r in reports],
+        "reports": [report_to_dict(r) for r in reports],
         "violations": list(violations),
     }
     if generated_at is not None:

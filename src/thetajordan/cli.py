@@ -191,13 +191,7 @@ def run(config: RunConfig):
         if config.no_timestamps
         else datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
-    doc = document(
-        reports,
-        _config_echo(config),
-        violations,
-        with_timing=not config.no_timestamps,
-        generated_at=generated,
-    )
+    doc = document(reports, _config_echo(config), violations, generated_at=generated)
     text = _RENDERERS[config.output_format](doc)
     try:
         if config.output_path:

@@ -2,10 +2,11 @@
 
 A ConcreteGroup is an explicit multiplication table on element indices
 0..order-1; theta and pairing-space tables are computed in index
-arithmetic from their base group's add and evaluation tables.  All
-subgroup searches work on bitmask sets (one Python int per subgroup), which
-keeps closure, centralizer intersection and deduplication cheap at orders
-up to the 4096 enumeration cap.
+arithmetic from their base group's add and evaluation tables.  Subgroups
+are bitmasks (one Python int each), and two routines answer every subgroup
+question: _generate closes a seed from greedy generators, and _max_related
+is the pruned search for the largest subgroup whose members pairwise
+relate (commute for the abelian oracle, pair to zero for isotropy).
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class ConcreteGroup:
         self._inv = self._derive_inverses() if inv_table is None else list(map(int, inv_table))
         if len(self._inv) != self.order:
             raise ValueError("inverse table length does not match the order")
+        if min(self._inv) < 0 or max(self._inv) >= self.order:
+            raise ValueError(f"inverse table entry out of range 0..{self.order - 1}")
         self._describe = describe
         self._cent_masks: list[int] | None = None
         self._verify()
@@ -74,23 +77,7 @@ class ConcreteGroup:
             j = self._inv[i]
             if mul[i][j] != e or mul[j][i] != e:
                 raise ValueError(f"inverse table is wrong at element {i}")
-        # Greedy generators: each is the first element not yet reachable
-        # from the identity by right multiplication with earlier generators.
-        gens: list[int] = []
-        reached = {e}
-        for g in range(self.order):
-            if g in reached:
-                continue
-            gens.append(g)
-            stack = list(reached)  # so each is also multiplied by g
-            while stack:
-                row = mul[stack.pop()]
-                for h in gens:
-                    y = row[h]
-                    if y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-        for g in gens:
+        for g in _generate(mul, (1 << self.order) - 1, e)[0]:
             row_g = mul[g]
             for row_x in mul:
                 if list(map(row_x.__getitem__, row_g)) != mul[row_x[g]]:
@@ -167,30 +154,32 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
-def _close_mask(mul, seed_mask: int, identity: int) -> int:
-    # Pairwise product fixpoint: each unordered pair is multiplied exactly
-    # once, in both orders, when the later member is reached.
-    got = seed_mask | (1 << identity)
-    members = list(_mask_bits(got))
-    i = 0
-    while i < len(members):
-        a = members[i]
-        row = mul[a]
-        for j in range(i + 1):
-            b = members[j]
-            for c in (row[b], mul[b][a]):
-                if not got >> c & 1:
-                    got |= 1 << c
-                    members.append(c)
-        i += 1
-    return got
+def _generate(mul, seed_mask: int, identity: int) -> tuple[list[int], int]:
+    # Greedy generators of the seed: each is the first seed member not yet
+    # reached from the identity by right multiplication with the earlier
+    # ones.  In a finite group the reached set is the generated subgroup.
+    gens: list[int] = []
+    reached = 1 << identity
+    members = [identity]
+    rest = seed_mask & ~reached
+    while rest:
+        gens.append((rest & -rest).bit_length() - 1)
+        stack = members[:]  # so each is also multiplied by the new generator
+        while stack:
+            row = mul[stack.pop()]
+            for h in gens:
+                y = row[h]
+                if not reached >> y & 1:
+                    reached |= 1 << y
+                    members.append(y)
+                    stack.append(y)
+        rest &= ~reached
+    return gens, reached
 
 
-def _extend_mask(mul, smask: int, h: int, commuting: bool, identity: int) -> int:
-    # smask must already be a subgroup.  When h commutes with all of it the
-    # extension is the union of cosets S, S*h, S*h^2, ...
-    if not commuting:
-        return _close_mask(mul, smask | (1 << h), identity)
+def _extend_mask(mul, smask: int, h: int) -> int:
+    # smask must be a subgroup that h centralizes; the extension is then
+    # the union of cosets S, S*h, S*h^2, ...
     out = smask
     hp = h
     while not out >> hp & 1:
@@ -202,15 +191,18 @@ def _extend_mask(mul, smask: int, h: int, commuting: bool, identity: int) -> int
     return out
 
 
+def _checked_indices(G: ConcreteGroup, members: Iterable[int]) -> set[int]:
+    out = {int(i) for i in members}
+    for i in out:
+        if not 0 <= i < G.order:
+            raise ValueError(f"element index {i} out of range 0..{G.order - 1}")
+    return out
+
+
 def closure(G: ConcreteGroup, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators (just the identity if empty)."""
-    mask = 0
-    for g in generators:
-        gi = int(g)
-        if not 0 <= gi < G.order:
-            raise ValueError(f"element index {gi} out of range 0..{G.order - 1}")
-        mask |= 1 << gi
-    sub = Subgroup.from_mask(_close_mask(G._mul, mask, G.identity))
+    mask = sum(1 << g for g in _checked_indices(G, generators))
+    sub = Subgroup.from_mask(_generate(G._mul, mask, G.identity)[1])
     if G.order % sub.order:
         raise RuntimeError(
             f"closure of size {sub.order} does not divide the group order {G.order}"
@@ -219,8 +211,11 @@ def closure(G: ConcreteGroup, generators: Iterable[int]) -> Subgroup:
 
 
 def is_subgroup(G: ConcreteGroup, members: Iterable[int]) -> bool:
-    """Independent re-check: identity present, closed under mul and inverse."""
-    ms = set(members)
+    """Independent re-check: identity present, closed under mul and inverse.
+
+    ValueError when a member is not an element index of G.
+    """
+    ms = _checked_indices(G, members)
     if G.identity not in ms:
         return False
     for a in ms:
@@ -247,13 +242,14 @@ def all_subgroups(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> list[Subgr
     """Every subgroup of G, by iterated single-generator extension.
 
     Exhaustive because any subgroup arises by repeatedly adjoining one more
-    of its own elements, starting from the trivial subgroup.  Results are
-    sorted by (order, members).
+    of its own elements, starting from the trivial subgroup.  An element
+    that centralizes the current subgroup extends it by cosets; any other
+    is adjoined by regenerating.  Results are sorted by (order, members).
     """
     if G.order > cap:
         raise CapExceeded(f"order {G.order} exceeds the subgroup-search cap {cap}")
     mul = G._mul
-    abelian = G.center_mask() == (1 << G.order) - 1
+    cents = G.centralizer_masks()
     triv = 1 << G.identity
     seen = {triv}
     stack = [triv]
@@ -262,7 +258,10 @@ def all_subgroups(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> list[Subgr
         for h in range(G.order):
             if smask >> h & 1:
                 continue
-            tmask = _extend_mask(mul, smask, h, abelian, G.identity)
+            if cents[h] & smask == smask:
+                tmask = _extend_mask(mul, smask, h)
+            else:
+                tmask = _generate(mul, smask | (1 << h), G.identity)[1]
             if tmask not in seen:
                 seen.add(tmask)
                 stack.append(tmask)
@@ -271,55 +270,57 @@ def all_subgroups(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> list[Subgr
     return subs
 
 
-def max_abelian_order(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Exact maximum order over all abelian subgroups of G.
-
-    Abelian subgroups are grown by adjoining commuting outside elements and
-    re-closing, all branches, with dedup on the member bitmask.  Growth may
-    start from closure(center + {g}) because every maximal abelian subgroup
-    contains the center; a state whose centralizer adds nothing is maximal.
-    Branches whose whole centralizer cannot beat the best known order are
-    pruned (an abelian overgroup of S lives inside the centralizer of S).
-    """
-    if G.order > cap:
-        raise CapExceeded(
-            f"order {G.order} exceeds the oracle cap {cap}; use the structural bound"
-        )
-    n = G.order
-    full = (1 << n) - 1
-    mul = G._mul
-    cents = G.centralizer_masks()
-    zmask = G.center_mask()
-    if zmask == full:
-        return n
-    best = zmask.bit_count()
+def _max_related(mul, rel: list[int], start: int) -> int:
+    # Largest subgroup containing `start` whose members pairwise relate.
+    # rel[g] masks the elements related to g: a subgroup containing g, by a
+    # symmetric relation under which an h related to all of a subgroup S
+    # normalizes S, so <S, h> is a union of cosets.  `start` is a subgroup
+    # related to every element.  Growth adjoins related elements on all
+    # branches, deduplicated by mask, and prunes a branch whose related set
+    # cannot beat the best order found.
+    best, best_size = start, start.bit_count()
     seen = set()
     stack = []
-    for g in range(n):
-        if zmask >> g & 1:
+    for g in range(len(mul)):
+        if start >> g & 1:
             continue
-        smask = _extend_mask(mul, zmask, g, True, G.identity)
+        smask = _extend_mask(mul, start, g)
         if smask not in seen:
             seen.add(smask)
-            # centralizer of <center, g> is exactly the centralizer of g
-            stack.append((smask, cents[g]))
+            # the elements related to all of <start, g> are those related to g
+            stack.append((smask, rel[g]))
     while stack:
         smask, cmask = stack.pop()
         size = smask.bit_count()
-        if size > best:
-            best = size
-        if cmask.bit_count() <= best:
+        if size > best_size:
+            best, best_size = smask, size
+        if cmask.bit_count() <= best_size:
             continue
         cands = cmask & ~smask
         while cands:
             low = cands & -cands
             h = low.bit_length() - 1
             cands ^= low
-            tmask = _extend_mask(mul, smask, h, True, G.identity)
+            tmask = _extend_mask(mul, smask, h)
             if tmask not in seen:
                 seen.add(tmask)
-                stack.append((tmask, cmask & cents[h]))
+                stack.append((tmask, cmask & rel[h]))
     return best
+
+
+def max_abelian_order(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """Exact maximum order over all abelian subgroups of G.
+
+    The pruned search for the largest subgroup whose members pairwise
+    commute, started from the center: every maximal abelian subgroup
+    contains it, and an abelian overgroup of S lives inside the
+    centralizer of S.
+    """
+    if G.order > cap:
+        raise CapExceeded(
+            f"order {G.order} exceeds the oracle cap {cap}; use the structural bound"
+        )
+    return _max_related(G._mul, G.centralizer_masks(), G.center_mask()).bit_count()
 
 
 def min_abelian_index(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:

@@ -1,0 +1,16 @@
+"""Suite-wide setup.
+
+Some tests run `python -m thetajordan` in a child process.  The
+`pythonpath` setting in pyproject.toml puts `src` on this process's
+sys.path only, so the children get the same package through PYTHONPATH.
+"""
+
+import os
+from pathlib import Path
+
+import thetajordan
+
+_root = str(Path(thetajordan.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_root, os.environ.get("PYTHONPATH")) if p
+)

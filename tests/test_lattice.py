@@ -18,6 +18,7 @@ from helpers import (
     concrete_mul_table,
     cyclic_table,
     dihedral_table,
+    naive_closure,
     naive_max_abelian_order,
     table_census,
 )
@@ -53,6 +54,14 @@ class TestConcreteGroup:
         inverses = [C.inv(i) for i in range(C.order)]
         with pytest.raises(ValueError, match="not associative"):
             ConcreteGroup(table, inv_table=inverses)
+
+    def test_rejects_negative_inverse_entry(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ConcreteGroup([[0, 1], [1, 0]], inv_table=[0, -1])
+
+    def test_rejects_inverse_entry_above_order(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ConcreteGroup([[0, 1], [1, 0]], inv_table=[0, 5])
 
     def test_from_mul_fn_derives_inverses(self):
         G = ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
@@ -98,6 +107,29 @@ class TestClosure:
             S = closure(G, gens)
             assert is_subgroup(G, S.members)
             assert G.order % S.order == 0  # Lagrange
+
+    def test_matches_naive_closure(self):
+        tables = [
+            concrete_mul_table(concrete_theta([3])),
+            concrete_mul_table(concrete_theta([2, 2])),
+            dihedral_table(4),
+        ]
+        for table in tables:
+            G = ConcreteGroup(table)
+            n = G.order
+            for gens in ([], [1], [n - 1], [1, 2], [2, n // 2], [3, 5, 7],
+                         [n - 2, n - 3], list(range(n))):
+                S = closure(G, gens)
+                assert set(S.members) == naive_closure(table, gens)
+
+
+class TestIsSubgroup:
+    def test_rejects_out_of_range_member(self):
+        G = ConcreteGroup(cyclic_table(2))
+        with pytest.raises(ValueError, match="out of range"):
+            is_subgroup(G, [0, -2])
+        with pytest.raises(ValueError, match="out of range"):
+            is_subgroup(G, [0, 2])
 
 
 class TestIsAbelian:

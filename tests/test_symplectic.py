@@ -17,6 +17,18 @@ def space(factors):
     return pairing_space(make_group(factors))
 
 
+def enumerate_isotropic_max(P):
+    """Reference: filter every subgroup of the space by the validated pairing."""
+    pts = P.points()
+    ptab = [[P.pairing(p, q) for q in pts] for p in pts]
+    best = 1
+    for sub in all_subgroups(P.to_concrete()):
+        ms = sub.members
+        if sub.order > best and all(ptab[i][j] == 0 for i in ms for j in ms):
+            best = sub.order
+    return best
+
+
 class TestPairing:
     def test_diagonal_vanishes(self):
         for factors in ([1], [2], [3], [2, 2]):
@@ -132,6 +144,11 @@ class TestMaxIsotropic:
                 continue
             P = pairing_space(FiniteAbelianGroup(fs))
             assert max_isotropic_order(P, method="brute") == P.base.order
+
+    def test_brute_matches_enumerate_and_filter(self):
+        for fs in divisor_chains(8):
+            P = pairing_space(FiniteAbelianGroup(fs))
+            assert max_isotropic_order(P, method="brute") == enumerate_isotropic_max(P)
 
 
 class TestAbelianIffIsotropic:
