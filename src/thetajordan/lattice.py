@@ -6,7 +6,9 @@ arithmetic from their base group's add and evaluation tables.  Subgroups
 are bitmasks (one Python int each), and two routines answer every subgroup
 question: _generate closes a seed from greedy generators, and _max_related
 is the pruned search for the largest subgroup whose members pairwise
-relate (commute for the abelian oracle, pair to zero for isotropy).
+relate (commute for the abelian oracle, pair to zero for isotropy).  The
+abelian oracle runs that search on the quotient by the center, whose table
+it reads off the verified multiplication table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ class ConcreteGroup:
         self.order = len(mul_table)
         if self.order == 0:
             raise ValueError("empty multiplication table")
-        self._mul = [list(map(int, row)) for row in mul_table]
+        # list rows are kept, not copied (a copy holds a second 16.8M-entry
+        # table at order 4096), so callers must not change them afterwards
+        self._mul = [row if type(row) is list else list(map(int, row))
+                     for row in mul_table]
         for row in self._mul:
             if len(row) != self.order or min(row) < 0 or max(row) >= self.order:
                 raise ValueError("malformed multiplication table")
@@ -77,7 +82,8 @@ class ConcreteGroup:
             j = self._inv[i]
             if mul[i][j] != e or mul[j][i] != e:
                 raise ValueError(f"inverse table is wrong at element {i}")
-        for g in _generate(mul, (1 << self.order) - 1, e)[0]:
+        self._gens = _generate(mul, (1 << self.order) - 1, e)[0]
+        for g in self._gens:
             row_g = mul[g]
             for row_x in mul:
                 if list(map(row_x.__getitem__, row_g)) != mul[row_x[g]]:
@@ -111,10 +117,11 @@ class ConcreteGroup:
         return self._cent_masks
 
     def center_mask(self) -> int:
-        full = (1 << self.order) - 1
+        """The elements that commute with every generator _verify found."""
+        mul = self._mul
         out = 0
-        for g, m in enumerate(self.centralizer_masks()):
-            if m == full:
+        for g, row in enumerate(mul):
+            if all(row[x] == mul[x][g] for x in self._gens):
                 out |= 1 << g
         return out
 
@@ -228,6 +235,9 @@ def is_subgroup(G: ConcreteGroup, members: Iterable[int]) -> bool:
 
 
 def is_abelian(G: ConcreteGroup, S: Subgroup) -> bool:
+    """Whether the members pairwise commute; ValueError when one is not an
+    element index of G."""
+    _checked_indices(G, S.members)
     ms = S.members
     mul = G._mul
     for i, a in enumerate(ms):
@@ -311,16 +321,37 @@ def _max_related(mul, rel: list[int], start: int) -> int:
 def max_abelian_order(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Exact maximum order over all abelian subgroups of G.
 
-    The pruned search for the largest subgroup whose members pairwise
-    commute, started from the center: every maximal abelian subgroup
-    contains it, and an abelian overgroup of S lives inside the
-    centralizer of S.
+    Every maximal abelian subgroup contains the center Z, and whether two
+    elements commute depends only on their cosets mod Z.  So the pruned
+    search for the largest subgroup whose members pairwise commute runs on
+    G/Z, relating two cosets when their representatives commute, and its
+    order times |Z| is the answer.  The quotient comes from the table alone.
     """
     if G.order > cap:
         raise CapExceeded(
             f"order {G.order} exceeds the oracle cap {cap}; use the structural bound"
         )
-    return _max_related(G._mul, G.centralizer_masks(), G.center_mask()).bit_count()
+    mul = G._mul
+    center = list(_mask_bits(G.center_mask()))
+    coset = [-1] * G.order
+    reps = []
+    for g, row in enumerate(mul):
+        if coset[g] < 0:
+            for z in center:
+                coset[row[z]] = len(reps)
+            reps.append(g)
+    qmul = []
+    qrel = []
+    for a in reps:
+        row = mul[a]
+        qmul.append([coset[row[b]] for b in reps])
+        rel = 0
+        for j, b in enumerate(reps):
+            if row[b] == mul[b][a]:
+                rel |= 1 << j
+        qrel.append(rel)
+    start = 1 << coset[G.identity]
+    return _max_related(qmul, qrel, start).bit_count() * len(center)
 
 
 def min_abelian_index(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:

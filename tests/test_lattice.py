@@ -5,6 +5,7 @@ from thetajordan.heis import ThetaElement, theta_group
 from thetajordan.lattice import (
     ConcreteGroup,
     Subgroup,
+    _max_related,
     all_subgroups,
     closure,
     is_abelian,
@@ -18,6 +19,7 @@ from helpers import (
     concrete_mul_table,
     cyclic_table,
     dihedral_table,
+    divisor_chains,
     naive_closure,
     naive_max_abelian_order,
     table_census,
@@ -146,6 +148,13 @@ class TestIsAbelian:
         G = concrete_theta([2])
         assert not is_abelian(G, closure(G, range(G.order)))
 
+    def test_rejects_out_of_range_member(self):
+        G = ConcreteGroup(cyclic_table(2))
+        with pytest.raises(ValueError, match="out of range"):
+            is_abelian(G, Subgroup((0, -1)))
+        with pytest.raises(ValueError, match="out of range"):
+            is_abelian(G, Subgroup((0, 2)))
+
 
 class TestAllSubgroups:
     def test_cyclic_z12(self):
@@ -192,6 +201,28 @@ class TestMaxAbelianOracle:
         table = dihedral_table(6)
         G = ConcreteGroup(table)
         assert max_abelian_order(G) == naive_max_abelian_order(table) == 6
+
+    def test_quotient_search_matches_direct_search(self):
+        # the search on G/Z against the same pruned search on G itself, with
+        # the center read off the O(n^2) centralizer masks; dihedral groups
+        # of order 2n have centers of order 1 (n odd) and 2 (n even)
+        groups = [concrete_theta(fs or [1]) for fs in divisor_chains(8)]
+        groups += [ConcreteGroup(dihedral_table(n)) for n in range(3, 9)]
+        groups.append(ConcreteGroup(cyclic_table(12)))
+        for G in groups:
+            masks = G.centralizer_masks()
+            full = (1 << G.order) - 1
+            center = sum(1 << g for g, m in enumerate(masks) if m == full)
+            assert G.center_mask() == center
+            direct = _max_related(G._mul, masks, center).bit_count()
+            assert max_abelian_order(G) == direct
+
+    def test_theta_maximum_is_base_order_squared(self):
+        # every base type with |K| <= 12, theta orders up to 1728
+        for fs in divisor_chains(12):
+            K = make_group(list(fs) or [1])
+            G = theta_group(K).to_concrete()
+            assert max_abelian_order(G, cap=G.order) == K.order ** 2, fs
 
     def test_at_least_center(self):
         for factors in ([2], [3], [2, 2], [4]):
