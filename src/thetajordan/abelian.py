@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd, prod
+from operator import add, mod, neg
 from typing import NamedTuple
 
 # Elements and characters are both plain coordinate tuples.
@@ -55,21 +56,21 @@ class FiniteAbelianGroup:
     invariant_factors: Coords = ()
 
     def __post_init__(self):
-        fs = tuple(int(d) for d in self.invariant_factors)
+        fs = tuple(self.invariant_factors)
+        for d in fs:
+            if not isinstance(d, int):
+                raise ValueError(f"invariant factor {d!r} is not an integer")
+        fs = tuple(map(int, fs))
         object.__setattr__(self, "invariant_factors", fs)
         for i, d in enumerate(fs):
             if d < 2:
                 raise ValueError(f"invariant factor {d} is < 2")
             if i and d % fs[i - 1]:
                 raise ValueError(f"factors {fs} break the divisibility chain")
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
+        # Cached shape: plain attributes, not fields, so equality and
+        # hashing still see only the invariant factors.
+        object.__setattr__(self, "order", prod(fs))
+        object.__setattr__(self, "rank", len(fs))
 
     def spec_string(self) -> str:
         """Render as group-spec grammar, e.g. 'Z4xZ2' ('Z1' when trivial)."""
@@ -81,36 +82,25 @@ class FiniteAbelianGroup:
         return (0,) * self.rank
 
     def check_element(self, x: Coords) -> None:
+        """ValueError unless x is a tuple of ints c with 0 <= c < d_i."""
         if not isinstance(x, tuple) or len(x) != self.rank:
             raise ValueError(
                 f"element {x!r} does not have {self.rank} coordinates"
             )
         for c, d in zip(x, self.invariant_factors):
+            if not isinstance(c, int):
+                raise ValueError(f"coordinate {c!r} is not an integer")
             if not 0 <= c < d:
                 raise ValueError(f"coordinate {c} out of range for Z_{d}")
 
     def add(self, x: AbElement, y: AbElement) -> AbElement:
         self.check_element(x)
         self.check_element(y)
-        return self._add(x, y)
+        return tuple(map(mod, map(add, x, y), self.invariant_factors))
 
     def neg(self, x: AbElement) -> AbElement:
         self.check_element(x)
-        return self._neg(x)
-
-    # Unchecked arithmetic for callers that have already validated their
-    # operands (the theta law checks each operand once at entry).
-    def _add(self, x: AbElement, y: AbElement) -> AbElement:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
-
-    def _neg(self, x: AbElement) -> AbElement:
-        return tuple(-a % d for a, d in zip(x, self.invariant_factors))
-
-    def _evaluate(self, char: Character, x: AbElement, m: int) -> int:
-        # m must be a positive multiple of every invariant factor
-        return sum(
-            c * a * (m // d) for c, a, d in zip(char, x, self.invariant_factors)
-        ) % m
+        return tuple(map(mod, map(neg, x), self.invariant_factors))
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[AbElement]:
         """All elements in lexicographic coordinate order; zero comes first."""
@@ -136,7 +126,9 @@ class FiniteAbelianGroup:
         for d in self.invariant_factors:
             if m % d:
                 raise ValueError(f"factor {d} does not divide ambient order {m}")
-        return self._evaluate(char, x, m)
+        return sum(
+            c * a * (m // d) for c, a, d in zip(char, x, self.invariant_factors)
+        ) % m
 
 
 class IndexTables(NamedTuple):

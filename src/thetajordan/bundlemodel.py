@@ -208,11 +208,13 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     return evidence[key]
 
 
-def _sanity_sweep(theta: ThetaGroup, rng: random.Random) -> list[str]:
+def _sanity_sweep(theta: ThetaGroup, rng: random.Random, label: str) -> list[str]:
     """Seeded random group-law spot checks; returns violation strings.
 
     Works at any level because it never enumerates the group: associativity
     on random triples, inverse law, and the commutator closed-form bridge.
+    A product or inverse that leaves the group fails the next validated
+    operation; that is a violation too, and it ends the sweep.
     """
     out = []
     e = theta.identity()
@@ -220,14 +222,17 @@ def _sanity_sweep(theta: ThetaGroup, rng: random.Random) -> list[str]:
         g = theta.random_element(rng)
         h = theta.random_element(rng)
         f = theta.random_element(rng)
-        if theta.mul(theta.mul(g, h), f) != theta.mul(g, theta.mul(h, f)):
-            out.append(f"associativity failed at {g}, {h}, {f}")
-        if theta.mul(g, theta.inv(g)) != e:
-            out.append(f"inverse law failed at {g}")
         try:
+            if theta.mul(theta.mul(g, h), f) != theta.mul(g, theta.mul(h, f)):
+                out.append(f"associativity failed at {g}, {h}, {f}")
+            if theta.mul(g, theta.inv(g)) != e:
+                out.append(f"inverse law failed at {g}")
             theta.commutator(g, h)
         except RuntimeError as exc:
             out.append(str(exc))
+        except ValueError as exc:
+            out.append(f"{label}: group law left the group at {g}, {h}, {f}: {exc}")
+            break
     return out
 
 
@@ -237,7 +242,7 @@ def verify_level(level: LevelData, mode: str = "both",
     """Verify one level; returns (ReportEntry, violation strings)."""
     start = perf_counter()
     rng = random.Random(seed * 1_000_003 + level.n)
-    violations = _sanity_sweep(level.theta, rng)
+    violations = _sanity_sweep(level.theta, rng, level.label)
     maxab, idx, method, disagreement = _index_evidence(
         level, mode, oracle_cap, evidence=evidence
     )

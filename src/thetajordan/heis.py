@@ -17,6 +17,7 @@ group descriptions are safe to use concurrently.
 
 from __future__ import annotations
 
+from operator import add, mod, mul, neg
 from typing import NamedTuple
 
 from .abelian import (
@@ -42,10 +43,11 @@ class ThetaGroup:
 
     def __init__(self, base: FiniteAbelianGroup):
         self.base = base
-        self.m = base.order
-        self.order = self.m ** 3
-        fs = base.invariant_factors
-        self._radices = (self.m, *fs, *fs)  # index() digits: a, then k, then l
+        self.m = m = base.order
+        self.order = m ** 3
+        self._fs = fs = base.invariant_factors
+        self._scales = tuple(m // d for d in fs)  # <l, k> = sum l_i k_i m/d_i
+        self._radices = (m, *fs, *fs)  # index() digits: a, then k, then l
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ThetaGroup) and other.base == self.base
@@ -62,26 +64,46 @@ class ThetaGroup:
     def check_element(self, g: ThetaElement) -> None:
         if not isinstance(g, ThetaElement):
             raise ValueError(f"{g!r} is not a ThetaElement")
-        if not 0 <= g.a < self.m:
-            raise ValueError(f"central exponent {g.a} out of range mod {self.m}")
-        self.base.check_element(g.k)
-        self.base.check_element(g.l)
+        # One pass over the digits (a, *k, *l); on any failure the per-part
+        # checks below name what is wrong.
+        a, k, l = g
+        r = self.base.rank
+        if isinstance(k, tuple) and isinstance(l, tuple) and len(k) == len(l) == r:
+            for c, d in zip((a, *k, *l), self._radices):
+                if not (isinstance(c, int) and 0 <= c < d):
+                    break
+            else:
+                return
+        if not isinstance(a, int):
+            raise ValueError(f"central exponent {a!r} is not an integer")
+        if not 0 <= a < self.m:
+            raise ValueError(f"central exponent {a} out of range mod {self.m}")
+        self.base.check_element(k)
+        self.base.check_element(l)
+
+    def _twist(self, l: Coords, k: Coords) -> int:
+        """<l, k>, the exponent of the character l at k, mod m."""
+        return sum(map(mul, map(mul, l, k), self._scales)) % self.m
 
     def mul(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
         self.check_element(g)
         self.check_element(h)
-        K = self.base
-        twist = K._evaluate(h.l, g.k, self.m)
+        fs = self._fs
         return ThetaElement(
-            (g.a + h.a + twist) % self.m, K._add(g.k, h.k), K._add(g.l, h.l)
+            (g.a + h.a + self._twist(h.l, g.k)) % self.m,
+            tuple(map(mod, map(add, g.k, h.k), fs)),
+            tuple(map(mod, map(add, g.l, h.l), fs)),
         )
 
     def inv(self, g: ThetaElement) -> ThetaElement:
         """Closed-form inverse (-a + <l, k>, -k, -l)."""
         self.check_element(g)
-        K = self.base
-        twist = K._evaluate(g.l, g.k, self.m)
-        return ThetaElement((twist - g.a) % self.m, K._neg(g.k), K._neg(g.l))
+        fs = self._fs
+        return ThetaElement(
+            (self._twist(g.l, g.k) - g.a) % self.m,
+            tuple(map(mod, map(neg, g.k), fs)),
+            tuple(map(mod, map(neg, g.l), fs)),
+        )
 
     def commutator(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
         """g h g^-1 h^-1, computed two ways that must agree.
@@ -92,10 +114,7 @@ class ThetaGroup:
         """
         direct = self.mul(self.mul(g, h), self.inv(self.mul(h, g)))
         # mul has validated g and h
-        twist = (
-            self.base._evaluate(h.l, g.k, self.m)
-            - self.base._evaluate(g.l, h.k, self.m)
-        ) % self.m
+        twist = (self._twist(h.l, g.k) - self._twist(g.l, h.k)) % self.m
         closed = ThetaElement(twist, self.base.zero(), self.base.zero())
         if direct != closed:
             raise RuntimeError(
@@ -208,11 +227,9 @@ class ThetaGroup:
         )
 
     def random_element(self, rng) -> ThetaElement:
-        fs = self.base.invariant_factors
+        draw = rng.randrange
         return ThetaElement(
-            rng.randrange(self.m),
-            tuple(rng.randrange(d) for d in fs),
-            tuple(rng.randrange(d) for d in fs),
+            draw(self.m), tuple(map(draw, self._fs)), tuple(map(draw, self._fs))
         )
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import pytest
 
@@ -63,6 +64,21 @@ class TestMakeGroup:
                 G.invariant_factors or (1,)
             )
 
+    def test_constructor_rejects_float_factor(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            FiniteAbelianGroup((2.5,))
+
+    def test_constructor_rejects_string_factor(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            FiniteAbelianGroup(("3",))
+
+    def test_cached_shape_is_not_a_field(self):
+        G = FiniteAbelianGroup([2, 4])
+        assert (G.order, G.rank) == (8, 2)
+        assert [f.name for f in dataclasses.fields(G)] == ["invariant_factors"]
+        assert G == make_group([4, 2]) and hash(G) == hash(make_group([4, 2]))
+        assert repr(G) == "FiniteAbelianGroup(invariant_factors=(2, 4))"
+
     def test_constructor_rejects_broken_chain(self):
         with pytest.raises(ValueError):
             FiniteAbelianGroup((3, 2))
@@ -82,6 +98,15 @@ class TestArithmetic:
     def test_add_mod6(self):
         G = make_group([6])
         assert G.add((4,), (5,)) == (3,)
+
+    def test_rejects_float_coordinate(self):
+        with pytest.raises(ValueError, match="coordinate 0.5 is not an integer"):
+            make_group([2]).check_element((0.5,))
+
+    def test_bool_coordinates_accepted(self):
+        G = make_group([2, 2])
+        G.check_element((True, False))
+        assert G.add((True, False), (True, True)) == (0, 1)
 
     def test_shape_mismatch(self):
         G = make_group([4])

@@ -1,11 +1,14 @@
+import random
 import time
 
 import pytest
 
+from thetajordan.abelian import make_group
 from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
     BoundViolation,
     DiffeoClass,
+    _sanity_sweep,
     build_class_report,
     diffeo_class,
     family_for_class,
@@ -15,7 +18,8 @@ from thetajordan.bundlemodel import (
     torsion_inclusion,
     verify_level,
 )
-from thetajordan.heis import ThetaGroup
+from thetajordan.cli import EXIT_VIOLATION, main
+from thetajordan.heis import ThetaElement, ThetaGroup, theta_group
 
 
 class TestTorsionGroup:
@@ -170,6 +174,107 @@ class TestVerifyLevel:
         entry, violations = verify_level(level_data(2))
         assert entry.min_abelian_index == 1
         assert violations  # both the bound and the agreement break
+
+
+_correct_mul = ThetaGroup.mul
+_correct_inv = ThetaGroup.inv
+
+
+def _leaky_mul(self, g, h):
+    """The theta law without its final reduction of the central exponent."""
+    K = self.base
+    twist = K.evaluate(h.l, g.k, self.m)
+    return ThetaElement(g.a + h.a + twist, K.add(g.k, h.k), K.add(g.l, h.l))
+
+
+def _cubic_mul(self, g, h):
+    """Cyclic base only: the twist gains g.k^2 * h.k, which is not a cocycle,
+    so the law is not associative."""
+    right = _correct_mul(self, g, h)
+    return right._replace(a=(right.a + g.k[0] ** 2 * h.k[0]) % self.m)
+
+
+def _cubic_inv(self, g):
+    """Right inverse under _cubic_mul."""
+    right = _correct_inv(self, g)
+    return right._replace(a=(right.a - g.k[0] ** 2 * right.k[0]) % self.m)
+
+
+def _off_by_one_inv(self, g):
+    right = _correct_inv(self, g)
+    return right._replace(a=(right.a + 1) % self.m)
+
+
+def _symmetric_mul(self, g, h):
+    """An abelian group law: the twist <h.l, g.k> + <g.l, h.k> is a
+    symmetric bilinear cocycle, so associativity and inverses hold."""
+    right = _correct_mul(self, g, h)
+    extra = self.base.evaluate(g.l, h.k, self.m)
+    return right._replace(a=(right.a + extra) % self.m)
+
+
+def _symmetric_inv(self, g):
+    right = _correct_inv(self, g)
+    extra = self.base.evaluate(g.l, g.k, self.m)
+    return right._replace(a=(right.a + extra) % self.m)
+
+
+class TestSanitySweep:
+    THETAS = [level_data(n).theta for n in (1, 2, 5, 12)] + [
+        theta_group(make_group(fs)) for fs in ([2, 2], [4, 2], [2, 2, 2])
+    ]
+
+    @staticmethod
+    def sweep(theta, seed=7):
+        return _sanity_sweep(theta, random.Random(seed), "level 5")
+
+    @staticmethod
+    def kinds(violations):
+        return {v.split(" failed at")[0].split(":")[0] for v in violations}
+
+    def test_correct_law_is_clean(self):
+        for theta in self.THETAS:
+            for seed in range(3):
+                assert self.sweep(theta, seed) == []
+
+    def test_broken_associativity(self, monkeypatch):
+        monkeypatch.setattr(ThetaGroup, "mul", _cubic_mul)
+        monkeypatch.setattr(ThetaGroup, "inv", _cubic_inv)
+        violations = self.sweep(level_data(5).theta)
+        assert "associativity" in self.kinds(violations)
+        assert "inverse law" not in self.kinds(violations)
+
+    def test_broken_inverse_law(self, monkeypatch):
+        monkeypatch.setattr(ThetaGroup, "inv", _off_by_one_inv)
+        violations = self.sweep(level_data(5).theta)
+        assert "inverse law" in self.kinds(violations)
+        assert "associativity" not in self.kinds(violations)
+
+    def test_broken_commutator_bridge(self, monkeypatch):
+        monkeypatch.setattr(ThetaGroup, "mul", _symmetric_mul)
+        monkeypatch.setattr(ThetaGroup, "inv", _symmetric_inv)
+        violations = self.sweep(level_data(5).theta)
+        assert violations
+        assert self.kinds(violations) == {"commutator mismatch"}
+
+    def test_law_leaving_the_group_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(ThetaGroup, "mul", _leaky_mul)
+        entry, violations = verify_level(level_data(3), mode="structural")
+        assert entry.min_abelian_index == 3
+        left = [v for v in violations if "left the group" in v]
+        assert left == violations[-1:]  # the sweep stops there
+        assert left[0].startswith("level 3: group law left the group at ")
+        assert left[0].endswith("out of range mod 3")
+
+    def test_law_leaving_the_group_exits_1_with_report(self, monkeypatch, capsys):
+        monkeypatch.setattr(ThetaGroup, "mul", _leaky_mul)
+        code = main(["verify", "--class", "1", "--max-n", "3",
+                     "--mode", "structural", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VIOLATION
+        assert err == ""
+        assert '"ok": false' in out
+        assert "level 3: group law left the group at" in out
 
 
 class TestJordanCertificate:

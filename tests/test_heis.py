@@ -125,6 +125,18 @@ class TestGroupLaw:
         with pytest.raises(ValueError):
             G.mul(ThetaElement(3, (1,), (0,)), G.identity())
 
+    def test_rejects_float_coordinate(self):
+        G = theta([2])
+        with pytest.raises(ValueError, match="coordinate 0.5 is not an integer"):
+            G.mul(ThetaElement(0, (0.5,), (0,)), G.identity())
+        with pytest.raises(ValueError, match="exponent 0.5 is not an integer"):
+            G.mul(G.identity(), ThetaElement(0.5, (0,), (0,)))
+
+    def test_bool_coordinates_accepted(self):
+        G = theta([2])
+        g = ThetaElement(True, (True,), (False,))
+        assert G.mul(g, G.identity()) == ThetaElement(1, (1,), (0,))
+
 
 class TestInverse:
     def test_identity(self):
