@@ -170,6 +170,23 @@ def radix_unrank(idx: int, radices: Coords) -> Coords:
     return tuple(reversed(rev))
 
 
+def index_tuple(values, n: int | None, what: str = "index") -> tuple[int, ...]:
+    """values as a tuple of element indices of a group of order n.
+
+    An index is a Python int (bools count) in 0..n-1; n None checks only
+    that.  Anything else raises ValueError naming `what`.  A tuple comes
+    back as is, without a copy, so tables keep immutable tuple rows.
+    """
+    t = tuple(values)
+    if not all(map(int.__instancecheck__, t)):
+        bad = next(v for v in t if not isinstance(v, int))
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    if n is not None and t and (min(t) < 0 or max(t) >= n):
+        bad = next(v for v in t if not 0 <= v < n)
+        raise ValueError(f"{what} {bad} out of range 0..{n - 1}")
+    return t
+
+
 def make_group(cyclic_factors) -> FiniteAbelianGroup:
     """Canonical invariant-factor form of a direct sum of cyclic groups.
 

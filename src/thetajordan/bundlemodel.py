@@ -59,8 +59,8 @@ class DiffeoClass:
     parity: int
 
     def __post_init__(self):
-        if self.parity not in (0, 1):
-            raise ValueError(f"parity {self.parity} is not 0 or 1")
+        if not isinstance(self.parity, int) or self.parity not in (0, 1):
+            raise ValueError(f"parity {self.parity!r} is not the integer 0 or 1")
 
     @property
     def description(self) -> str:
@@ -69,8 +69,8 @@ class DiffeoClass:
 
 def diffeo_class(n: int) -> DiffeoClass:
     """Class of the level-n total space; levels are taken nonnegative."""
-    if n < 0:
-        raise ValueError(f"level {n} is negative")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"level {n!r} is not a nonnegative integer")
     return DiffeoClass(n % 2)
 
 
@@ -335,33 +335,19 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
 # --- serialization -------------------------------------------------------
 
 def report_to_dict(report: VerificationReport) -> dict:
-    entries = []
-    for e in report.entries:
-        row = {
-            "n": e.n,
-            "group_order": e.group_order,
-            "max_abelian_order": e.max_abelian_order,
-            "min_abelian_index": e.min_abelian_index,
-            "method": e.method,
-        }
-        if e.elapsed_s is not None:
-            row["elapsed_s"] = e.elapsed_s
-        entries.append(row)
-    certificates = [
-        {
-            "threshold": c.threshold,
-            "n": c.n,
-            "group_order": c.group_order,
-            "min_abelian_index": c.min_abelian_index,
-            "method": c.method,
-        }
-        for c in report.threshold_certificates
-    ]
+    # the dataclass fields are the report's field list; elapsed_s is None
+    # when timings are off, and is then left out
+    entries = [vars(e).copy() for e in report.entries]
+    for row in entries:
+        if row["elapsed_s"] is None:
+            del row["elapsed_s"]
     return {
         "manifold_class": report.manifold_class.parity,
         "manifold": report.manifold_class.description,
         "entries": entries,
-        "threshold_certificates": certificates,
+        "threshold_certificates": [
+            vars(c).copy() for c in report.threshold_certificates
+        ],
     }
 
 

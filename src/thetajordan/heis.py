@@ -26,6 +26,7 @@ from .abelian import (
     ENUMERATION_CAP,
     FiniteAbelianGroup,
     index_tables,
+    index_tuple,
     radix_rank,
     radix_unrank,
 )
@@ -140,8 +141,7 @@ class ThetaGroup:
 
     def element(self, idx: int) -> ThetaElement:
         """Inverse of index()."""
-        if not 0 <= idx < self.order:
-            raise ValueError(f"index {idx} out of range 0..{self.order - 1}")
+        index_tuple((idx,), self.order)
         a, *coords = radix_unrank(idx, self._radices)
         r = self.base.rank
         return ThetaElement(a, tuple(coords[:r]), tuple(coords[r:]))
@@ -214,7 +214,7 @@ class ThetaGroup:
         table = []
         for a in ranks:
             rotate = list(range(a * mm, n)) + list(range(a * mm))
-            table.extend([rotate[x] for x in row] for row in rows0)
+            table.extend(tuple([rotate[x] for x in row]) for row in rows0)
         inv_table = [
             (ev[l][k] - a) % m * mm + neg[k] * m + neg[l]
             for a in ranks for k in ranks for l in ranks

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable
 
-from .abelian import CapExceeded, ENUMERATION_CAP
+from .abelian import CapExceeded, ENUMERATION_CAP, index_tuple
 
 DEFAULT_ORACLE_CAP = 512
 
@@ -34,24 +35,24 @@ class ConcreteGroup:
 
     def __init__(self, mul_table, inv_table=None, identity: int = 0,
                  describe: Callable[[int], str] | None = None):
-        self.order = len(mul_table)
-        if self.order == 0:
+        self.order = n = len(mul_table)
+        if n == 0:
             raise ValueError("empty multiplication table")
-        # list rows are kept, not copied (a copy holds a second 16.8M-entry
-        # table at order 4096), so callers must not change them afterwards
-        self._mul = [row if type(row) is list else list(map(int, row))
+        # tuple rows: a builder's rows are kept without a copy (a copy holds
+        # a second 16.8M-entry table at order 4096), and none can change
+        # after _verify has checked it
+        self._mul = [index_tuple(row, n, "multiplication table entry")
                      for row in mul_table]
-        for row in self._mul:
-            if len(row) != self.order or min(row) < 0 or max(row) >= self.order:
-                raise ValueError("malformed multiplication table")
-        self.identity = int(identity)
-        if not 0 <= self.identity < self.order:
-            raise ValueError(f"identity index {identity} out of range")
-        self._inv = self._derive_inverses() if inv_table is None else list(map(int, inv_table))
-        if len(self._inv) != self.order:
-            raise ValueError("inverse table length does not match the order")
-        if min(self._inv) < 0 or max(self._inv) >= self.order:
-            raise ValueError(f"inverse table entry out of range 0..{self.order - 1}")
+        if set(map(len, self._mul)) != {n}:
+            raise ValueError("malformed multiplication table")
+        index_tuple((identity,), n, "identity index")
+        self.identity = identity
+        if inv_table is None:
+            self._inv = self._derive_inverses()
+        else:
+            self._inv = index_tuple(inv_table, n, "inverse table entry")
+            if len(self._inv) != n:
+                raise ValueError("inverse table length does not match the order")
         self._describe = describe
         self._cent_masks: list[int] | None = None
         self._verify()
@@ -60,7 +61,7 @@ class ConcreteGroup:
     def from_mul_fn(cls, order: int, mul_fn: Callable[[int, int], int],
                     identity: int = 0,
                     describe: Callable[[int], str] | None = None) -> "ConcreteGroup":
-        table = [[mul_fn(i, j) for j in range(order)] for i in range(order)]
+        table = [tuple([mul_fn(i, j) for j in range(order)]) for i in range(order)]
         return cls(table, identity=identity, describe=describe)
 
     def _derive_inverses(self) -> list[int]:
@@ -83,10 +84,12 @@ class ConcreteGroup:
             if mul[i][j] != e or mul[j][i] != e:
                 raise ValueError(f"inverse table is wrong at element {i}")
         self._gens = _generate(mul, (1 << self.order) - 1, e)[0]
+        # itemgetter returns a one-entry row as a bare value, but only an
+        # order-1 table has such rows, and it has no generators
         for g in self._gens:
-            row_g = mul[g]
+            x_g_y = itemgetter(*mul[g])  # row of x -> the products x(gy)
             for row_x in mul:
-                if list(map(row_x.__getitem__, row_g)) != mul[row_x[g]]:
+                if x_g_y(row_x) != mul[row_x[g]]:
                     raise ValueError("multiplication table is not associative")
 
     def mul(self, i: int, j: int) -> int:
@@ -133,7 +136,7 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        ms = tuple(sorted({int(i) for i in self.members}))
+        ms = tuple(sorted(set(index_tuple(self.members, None, "member"))))
         object.__setattr__(self, "members", ms)
 
     @property
@@ -198,17 +201,10 @@ def _extend_mask(mul, smask: int, h: int) -> int:
     return out
 
 
-def _checked_indices(G: ConcreteGroup, members: Iterable[int]) -> set[int]:
-    out = {int(i) for i in members}
-    for i in out:
-        if not 0 <= i < G.order:
-            raise ValueError(f"element index {i} out of range 0..{G.order - 1}")
-    return out
-
-
 def closure(G: ConcreteGroup, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators (just the identity if empty)."""
-    mask = sum(1 << g for g in _checked_indices(G, generators))
+    gens = set(index_tuple(generators, G.order, "element index"))
+    mask = sum(1 << g for g in gens)
     sub = Subgroup.from_mask(_generate(G._mul, mask, G.identity)[1])
     if G.order % sub.order:
         raise RuntimeError(
@@ -222,7 +218,7 @@ def is_subgroup(G: ConcreteGroup, members: Iterable[int]) -> bool:
 
     ValueError when a member is not an element index of G.
     """
-    ms = _checked_indices(G, members)
+    ms = set(index_tuple(members, G.order, "element index"))
     if G.identity not in ms:
         return False
     for a in ms:
@@ -237,8 +233,7 @@ def is_subgroup(G: ConcreteGroup, members: Iterable[int]) -> bool:
 def is_abelian(G: ConcreteGroup, S: Subgroup) -> bool:
     """Whether the members pairwise commute; ValueError when one is not an
     element index of G."""
-    _checked_indices(G, S.members)
-    ms = S.members
+    ms = index_tuple(S.members, G.order, "element index")
     mul = G._mul
     for i, a in enumerate(ms):
         row = mul[a]

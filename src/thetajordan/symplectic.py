@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import CapExceeded, Coords, ENUMERATION_CAP, FiniteAbelianGroup
-from .abelian import index_tables, radix_rank, radix_unrank
+from .abelian import index_tables, index_tuple, radix_rank, radix_unrank
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, _max_related
 
 Point = tuple[Coords, Coords]
@@ -74,8 +74,7 @@ class PairingSpace:
         return radix_rank(p[0] + p[1], fs + fs)
 
     def point(self, idx: int) -> Point:
-        if not 0 <= idx < self.order:
-            raise ValueError(f"index {idx} out of range 0..{self.order - 1}")
+        index_tuple((idx,), self.order)
         fs = self.base.invariant_factors
         coords = radix_unrank(idx, fs + fs)
         return (coords[:len(fs)], coords[len(fs):])
@@ -90,7 +89,7 @@ class PairingSpace:
         m = self.m
         add = index_tables(self.base, cap).add
         table = [
-            [add[k][k2] * m + add[l][l2] for k2 in range(m) for l2 in range(m)]
+            tuple([add[k][k2] * m + add[l][l2] for k2 in range(m) for l2 in range(m)])
             for k in range(m) for l in range(m)
         ]
         return ConcreteGroup(table, identity=0, describe=lambda i: str(self.point(i)))

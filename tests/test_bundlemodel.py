@@ -119,6 +119,15 @@ class TestDiffeoClass:
         with pytest.raises(ValueError):
             DiffeoClass(2)
 
+    def test_float_parity_rejected(self):
+        with pytest.raises(ValueError, match="parity 1.0 is not the integer 0 or 1"):
+            DiffeoClass(1.0)
+        with pytest.raises(ValueError, match="level 3.0 is not a nonnegative integer"):
+            diffeo_class(3.0)
+
+    def test_bool_parity_accepted(self):
+        assert DiffeoClass(True) == DiffeoClass(1)
+
     def test_descriptions_differ(self):
         assert DiffeoClass(0).description != DiffeoClass(1).description
 

@@ -62,6 +62,40 @@ class TestIndexing:
         with pytest.raises(ValueError):
             G.element(-1)
 
+    def test_rejects_float_index(self):
+        with pytest.raises(ValueError, match="index 1.5 is not an integer"):
+            theta([2]).element(1.5)
+
+    def test_bool_index_accepted(self):
+        G = theta([2])
+        assert G.element(True) == G.element(1)
+
+    def test_round_trips_every_base_up_to_16(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        groups = [theta_group(FiniteAbelianGroup(fs)) for fs in divisor_chains(16)]
+
+        @st.composite
+        def cases(draw):
+            G = draw(st.sampled_from(groups))
+
+            def coords():
+                fs = G.base.invariant_factors
+                return tuple(draw(st.integers(0, d - 1)) for d in fs)
+
+            g = ThetaElement(draw(st.integers(0, G.m - 1)), coords(), coords())
+            return G, g, draw(st.integers(0, G.order - 1))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            G, g, i = case
+            assert G.element(G.index(g)) == g
+            assert G.index(G.element(i)) == i
+            assert parse_element(G, format_element(g)) == g
+
+        check()
+
 
 class TestGroupLaw:
     def test_identity_law_exhaustive_z2(self):
@@ -279,6 +313,17 @@ class TestConcrete:
                 assert C.inv(i) == G.index(G.inv(g))
                 for j, h in enumerate(els):
                     assert C.mul(i, j) == G.index(G.mul(g, h))
+
+    def test_sampled_cells_at_order_4096(self):
+        # the exhaustive comparison above stops at order 512
+        G = theta([4, 4])
+        C = G.to_concrete(cap=4096)
+        rng = random.Random(4096)
+        for _ in range(1000):  # 1000 mul cells and 1000 inverse entries
+            i, j = rng.randrange(G.order), rng.randrange(G.order)
+            g, h = G.element(i), G.element(j)
+            assert C.mul(i, j) == G.index(G.mul(g, h))
+            assert C.inv(i) == G.index(G.inv(g))
 
     def test_describe_renders_elements(self):
         G = theta([2])

@@ -14,6 +14,7 @@ from thetajordan.lattice import (
     min_abelian_index,
     order_sequence,
 )
+from thetajordan.symplectic import pairing_space
 
 from helpers import (
     concrete_mul_table,
@@ -65,6 +66,49 @@ class TestConcreteGroup:
         with pytest.raises(ValueError, match="out of range"):
             ConcreteGroup([[0, 1], [1, 0]], inv_table=[0, 5])
 
+    @pytest.mark.parametrize("row_type", [tuple, list])
+    @pytest.mark.parametrize("bad", [1.5, "1"])
+    def test_rejects_non_integer_entry(self, row_type, bad):
+        table = [row_type((0, bad)), row_type((bad, 0))]
+        with pytest.raises(ValueError, match="not an integer"):
+            ConcreteGroup(table)
+
+    def test_rejects_float_identity(self):
+        with pytest.raises(ValueError, match="identity index 0.0 is not an integer"):
+            ConcreteGroup(cyclic_table(2), identity=0.0)
+
+    def test_rejects_float_inverse_entry(self):
+        with pytest.raises(ValueError, match="inverse table entry 1.0 is not"):
+            ConcreteGroup(cyclic_table(2), inv_table=[0, 1.0])
+
+    def test_bool_indices_accepted(self):
+        G = ConcreteGroup([[False, True], [True, False]], inv_table=[False, True],
+                          identity=False)
+        assert G.mul(1, 1) == 0
+        assert closure(G, [True]).members == (0, 1)
+        assert is_subgroup(G, [False, True])
+        assert is_abelian(G, Subgroup((True, False)))
+
+    def test_table_cannot_change_after_verification(self):
+        table = cyclic_table(3)
+        G = ConcreteGroup(table)
+        table[1][1] = 0
+        assert G.mul(1, 1) == 2
+
+    def test_builders_emit_tuple_rows(self, monkeypatch):
+        seen = []
+        init = ConcreteGroup.__init__
+
+        def spy(self, mul_table, *args, **kwargs):
+            seen.append({type(row) for row in mul_table})
+            init(self, mul_table, *args, **kwargs)
+
+        monkeypatch.setattr(ConcreteGroup, "__init__", spy)
+        theta_group(make_group([2, 2])).to_concrete()
+        pairing_space(make_group([4])).to_concrete()
+        ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
+        assert seen == [{tuple}] * 3
+
     def test_from_mul_fn_derives_inverses(self):
         G = ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
         assert [G.inv(i) for i in range(6)] == [0, 5, 4, 3, 2, 1]
@@ -103,6 +147,11 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure(G, [99])
 
+    def test_rejects_float_generator(self):
+        G = concrete_theta([2])
+        with pytest.raises(ValueError, match="element index 1.7 is not an integer"):
+            closure(G, [1.7])
+
     def test_results_pass_independent_recheck(self):
         G = concrete_theta([3])
         for gens in ([], [1], [3], [1, 9], [5, 7], list(range(27))):
@@ -132,6 +181,15 @@ class TestIsSubgroup:
             is_subgroup(G, [0, -2])
         with pytest.raises(ValueError, match="out of range"):
             is_subgroup(G, [0, 2])
+
+    def test_rejects_float_member(self):
+        G = ConcreteGroup(cyclic_table(4))  # {0, 2} is a subgroup
+        with pytest.raises(ValueError, match="element index 2.9 is not an integer"):
+            is_subgroup(G, [0, 2.9])
+
+    def test_subgroup_rejects_float_member(self):
+        with pytest.raises(ValueError, match="member 2.5 is not an integer"):
+            Subgroup((0, 2.5))
 
 
 class TestIsAbelian:

@@ -76,6 +76,10 @@ class TestPairing:
                 assert P.index(p) == i
                 assert P.point(i) == p
 
+    def test_point_rejects_float_index(self):
+        with pytest.raises(ValueError, match="index 4.5 is not an integer"):
+            space([2]).point(4.5)
+
 
 class TestBridgeToCommutator:
     def test_central_exponent_equals_pairing(self):
