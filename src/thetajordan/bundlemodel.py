@@ -213,21 +213,35 @@ def _sanity_sweep(theta: ThetaGroup, rng: random.Random, label: str) -> list[str
 
     Works at any level because it never enumerates the group: associativity
     on random triples, inverse law, and the commutator closed-form bridge.
-    A product or inverse that leaves the group fails the next validated
-    operation; that is a violation too, and it ends the sweep.
+    Each round validates the eight values the unchecked law consumes (g, h,
+    f, gh, hf, g^-1, hg, (hg)^-1) once each, in the order the validated
+    public methods would meet them.  A product or inverse that leaves the
+    group is a violation too, and it ends the sweep.
     """
     out = []
     e = theta.identity()
+    check, mul, inv = theta.check_element, theta._mul, theta._inv
     for _ in range(SWEEP_ROUNDS):
         g = theta.random_element(rng)
         h = theta.random_element(rng)
         f = theta.random_element(rng)
         try:
-            if theta.mul(theta.mul(g, h), f) != theta.mul(g, theta.mul(h, f)):
+            check(g)
+            check(h)
+            check(f)
+            gh = mul(g, h)
+            check(gh)
+            hf = mul(h, f)
+            check(hf)
+            if mul(gh, f) != mul(g, hf):
                 out.append(f"associativity failed at {g}, {h}, {f}")
-            if theta.mul(g, theta.inv(g)) != e:
+            g_inv = inv(g)
+            check(g_inv)
+            if mul(g, g_inv) != e:
                 out.append(f"inverse law failed at {g}")
-            theta.commutator(g, h)
+            hg = mul(h, g)
+            check(hg)
+            theta._bridge(g, h, gh, hg)
         except RuntimeError as exc:
             out.append(str(exc))
         except ValueError as exc:

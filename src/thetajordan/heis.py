@@ -86,9 +86,10 @@ class ThetaGroup:
         """<l, k>, the exponent of the character l at k, mod m."""
         return sum(map(mul, map(mul, l, k), self._scales)) % self.m
 
-    def mul(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
-        self.check_element(g)
-        self.check_element(h)
+    # The law itself is unchecked: the public methods and the sanity sweep
+    # validate each value once, before the law consumes it.
+
+    def _mul(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
         fs = self._fs
         return ThetaElement(
             (g.a + h.a + self._twist(h.l, g.k)) % self.m,
@@ -96,9 +97,8 @@ class ThetaGroup:
             tuple(map(mod, map(add, g.l, h.l), fs)),
         )
 
-    def inv(self, g: ThetaElement) -> ThetaElement:
+    def _inv(self, g: ThetaElement) -> ThetaElement:
         """Closed-form inverse (-a + <l, k>, -k, -l)."""
-        self.check_element(g)
         fs = self._fs
         return ThetaElement(
             (self._twist(g.l, g.k) - g.a) % self.m,
@@ -106,15 +106,17 @@ class ThetaGroup:
             tuple(map(mod, map(neg, g.l), fs)),
         )
 
-    def commutator(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
-        """g h g^-1 h^-1, computed two ways that must agree.
+    def _bridge(self, g: ThetaElement, h: ThetaElement, gh: ThetaElement,
+                hg: ThetaElement) -> ThetaElement:
+        """g h g^-1 h^-1 as gh (hg)^-1, checked against the closed form
+        (<h.l, g.k> - <g.l, h.k>, 0, 0).
 
-        The definitional product is checked against the closed form
-        (<h.l, g.k> - <g.l, h.k>, 0, 0); a mismatch means the group law is
-        broken and raises RuntimeError.  The result is always central.
+        The caller has validated g, h and the products gh and hg; this
+        validates (hg)^-1.  A mismatch raises RuntimeError.
         """
-        direct = self.mul(self.mul(g, h), self.inv(self.mul(h, g)))
-        # mul has validated g and h
+        hg_inv = self._inv(hg)
+        self.check_element(hg_inv)
+        direct = self._mul(gh, hg_inv)
         twist = (self._twist(h.l, g.k) - self._twist(g.l, h.k)) % self.m
         closed = ThetaElement(twist, self.base.zero(), self.base.zero())
         if direct != closed:
@@ -123,6 +125,32 @@ class ThetaGroup:
             )
         return direct
 
+    def mul(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
+        self.check_element(g)
+        self.check_element(h)
+        return self._mul(g, h)
+
+    def inv(self, g: ThetaElement) -> ThetaElement:
+        """Closed-form inverse (-a + <l, k>, -k, -l)."""
+        self.check_element(g)
+        return self._inv(g)
+
+    def commutator(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
+        """g h g^-1 h^-1, computed two ways that must agree.
+
+        The definitional product is checked against the closed form; a
+        mismatch means the group law is broken and raises RuntimeError.  The
+        result is always central.
+        """
+        check = self.check_element
+        check(g)
+        check(h)
+        gh = self._mul(g, h)
+        hg = self._mul(h, g)
+        check(hg)  # hg before gh: the order the law consumes them
+        check(gh)
+        return self._bridge(g, h, gh, hg)
+
     def element_order(self, g: ThetaElement) -> int:
         """Least t >= 1 with g^t = identity (costs t multiplications)."""
         self.check_element(g)
@@ -130,7 +158,8 @@ class ThetaGroup:
         x = g
         t = 1
         while x != e:
-            x = self.mul(x, g)
+            x = self._mul(x, g)
+            self.check_element(x)
             t += 1
         return t
 

@@ -92,13 +92,19 @@ class ConcreteGroup:
                 if x_g_y(row_x) != mul[row_x[g]]:
                     raise ValueError("multiplication table is not associative")
 
+    # The public lookups validate their indices; internal loops read the
+    # verified _mul and _inv rows directly.
+
     def mul(self, i: int, j: int) -> int:
+        index_tuple((i, j), self.order, "element index")
         return self._mul[i][j]
 
     def inv(self, i: int) -> int:
+        index_tuple((i,), self.order, "element index")
         return self._inv[i]
 
     def commute(self, i: int, j: int) -> bool:
+        index_tuple((i, j), self.order, "element index")
         return self._mul[i][j] == self._mul[j][i]
 
     def describe(self, i: int) -> str:
@@ -221,11 +227,13 @@ def is_subgroup(G: ConcreteGroup, members: Iterable[int]) -> bool:
     ms = set(index_tuple(members, G.order, "element index"))
     if G.identity not in ms:
         return False
+    inv = G._inv
     for a in ms:
-        if G.inv(a) not in ms:
+        if inv[a] not in ms:
             return False
+        row = G._mul[a]
         for b in ms:
-            if G.mul(a, b) not in ms:
+            if row[b] not in ms:
                 return False
     return True
 
@@ -303,9 +311,11 @@ def _max_related(mul, rel: list[int], start: int) -> int:
             continue
         cands = cmask & ~smask
         while cands:
-            low = cands & -cands
-            h = low.bit_length() - 1
-            cands ^= low
+            h = (cands & -cands).bit_length() - 1
+            # every h' in the coset S*h gives the same <S, h'> = <S, h>, so
+            # the coset (which holds h) is tried once
+            for b in _mask_bits(smask):
+                cands &= ~(1 << mul[b][h])
             tmask = _extend_mask(mul, smask, h)
             if tmask not in seen:
                 seen.add(tmask)

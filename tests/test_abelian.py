@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+from math import prod
 
 import pytest
 
@@ -243,3 +244,23 @@ class TestGroupSpec:
     def test_roundtrip(self):
         for spec in ("Z1", "Z6", "Z2xZ4", "Z2xZ2xZ2"):
             assert parse_group_spec(spec).spec_string() == spec
+
+    def test_generated_cyclic_factor_lists(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            st.lists(st.integers(min_value=1, max_value=60), max_size=5),
+            st.booleans(),
+        )
+        def check(factors, lower):
+            G = make_group(factors)
+            assert parse_group_spec(G.spec_string()) == G
+            assert make_group(G.invariant_factors) == G  # idempotent
+            assert G.order == prod(factors)
+            # the grammar reads any direct sum, not only the canonical one
+            spec = "x".join(f"Z{f}" for f in factors) or "Z1"
+            assert parse_group_spec(spec.lower() if lower else spec) == G
+
+        check()

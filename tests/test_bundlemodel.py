@@ -185,8 +185,10 @@ class TestVerifyLevel:
         assert violations  # both the bound and the agreement break
 
 
-_correct_mul = ThetaGroup.mul
-_correct_inv = ThetaGroup.inv
+# Broken laws, patched into the one unchecked law (ThetaGroup._mul and
+# _inv) that the validated public methods and the sanity sweep both run.
+_correct_mul = ThetaGroup._mul
+_correct_inv = ThetaGroup._inv
 
 
 def _leaky_mul(self, g, h):
@@ -247,27 +249,27 @@ class TestSanitySweep:
                 assert self.sweep(theta, seed) == []
 
     def test_broken_associativity(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "mul", _cubic_mul)
-        monkeypatch.setattr(ThetaGroup, "inv", _cubic_inv)
+        monkeypatch.setattr(ThetaGroup, "_mul", _cubic_mul)
+        monkeypatch.setattr(ThetaGroup, "_inv", _cubic_inv)
         violations = self.sweep(level_data(5).theta)
         assert "associativity" in self.kinds(violations)
         assert "inverse law" not in self.kinds(violations)
 
     def test_broken_inverse_law(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "inv", _off_by_one_inv)
+        monkeypatch.setattr(ThetaGroup, "_inv", _off_by_one_inv)
         violations = self.sweep(level_data(5).theta)
         assert "inverse law" in self.kinds(violations)
         assert "associativity" not in self.kinds(violations)
 
     def test_broken_commutator_bridge(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "mul", _symmetric_mul)
-        monkeypatch.setattr(ThetaGroup, "inv", _symmetric_inv)
+        monkeypatch.setattr(ThetaGroup, "_mul", _symmetric_mul)
+        monkeypatch.setattr(ThetaGroup, "_inv", _symmetric_inv)
         violations = self.sweep(level_data(5).theta)
         assert violations
         assert self.kinds(violations) == {"commutator mismatch"}
 
     def test_law_leaving_the_group_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "mul", _leaky_mul)
+        monkeypatch.setattr(ThetaGroup, "_mul", _leaky_mul)
         entry, violations = verify_level(level_data(3), mode="structural")
         assert entry.min_abelian_index == 3
         left = [v for v in violations if "left the group" in v]
@@ -276,7 +278,7 @@ class TestSanitySweep:
         assert left[0].endswith("out of range mod 3")
 
     def test_law_leaving_the_group_exits_1_with_report(self, monkeypatch, capsys):
-        monkeypatch.setattr(ThetaGroup, "mul", _leaky_mul)
+        monkeypatch.setattr(ThetaGroup, "_mul", _leaky_mul)
         code = main(["verify", "--class", "1", "--max-n", "3",
                      "--mode", "structural", "--format", "json"])
         out, err = capsys.readouterr()

@@ -1,5 +1,6 @@
 import pytest
 
+from thetajordan import lattice
 from thetajordan.abelian import CapExceeded, make_group
 from thetajordan.heis import ThetaElement, theta_group
 from thetajordan.lattice import (
@@ -14,7 +15,7 @@ from thetajordan.lattice import (
     min_abelian_index,
     order_sequence,
 )
-from thetajordan.symplectic import pairing_space
+from thetajordan.symplectic import max_isotropic_order, pairing_space
 
 from helpers import (
     concrete_mul_table,
@@ -108,6 +109,21 @@ class TestConcreteGroup:
         pairing_space(make_group([4])).to_concrete()
         ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
         assert seen == [{tuple}] * 3
+
+    def test_lookups_follow_the_index_rule(self):
+        G = ConcreteGroup(cyclic_table(3))
+        lookups = [lambda i: G.mul(i, 0), lambda i: G.mul(0, i), G.inv,
+                   lambda i: G.commute(i, 1), lambda i: G.commute(1, i)]
+        for lookup in lookups:
+            with pytest.raises(ValueError, match="element index -1 out of range 0..2"):
+                lookup(-1)  # no wrap to the last row
+            with pytest.raises(ValueError, match="element index 3 out of range 0..2"):
+                lookup(3)
+            with pytest.raises(ValueError, match="element index 1.5 is not an integer"):
+                lookup(1.5)
+            with pytest.raises(ValueError, match="element index 1.0 is not an integer"):
+                lookup(1.0)
+        assert (G.mul(True, 2), G.inv(True), G.commute(True, 2)) == (0, 2, True)
 
     def test_from_mul_fn_derives_inverses(self):
         G = ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
@@ -281,6 +297,24 @@ class TestMaxAbelianOracle:
             K = make_group(list(fs) or [1])
             G = theta_group(K).to_concrete()
             assert max_abelian_order(G, cap=G.order) == K.order ** 2, fs
+
+    def test_each_extension_tried_once(self, monkeypatch):
+        # Z2xZ2xZ2's quotient: trying every element of every coset S*h, the
+        # search made 5733 _extend_mask calls for the same answer
+        calls = [0]
+        extend = lattice._extend_mask
+
+        def counted(*args):
+            calls[0] += 1
+            return extend(*args)
+
+        monkeypatch.setattr(lattice, "_extend_mask", counted)
+        assert max_abelian_order(concrete_theta([2, 2, 2])) == 64
+        assert 0 < calls[0] < 5733 // 2
+        for fs in divisor_chains(12):
+            K = make_group(list(fs) or [1])
+            P = pairing_space(K)
+            assert max_isotropic_order(P, method="brute") == K.order, fs
 
     def test_at_least_center(self):
         for factors in ([2], [3], [2, 2], [4]):

@@ -1,9 +1,10 @@
-"""The one-pass element checks and the precomputed theta law against the
-straightforward reference they replaced.
+"""The one-pass element checks, the precomputed theta law and the sanity
+sweep against the straightforward references they replaced.
 
-The reference functions below are the plain per-part checks and the
-coordinate-by-coordinate law: every accepted input must give the same
-result, and every rejected one the same ValueError message.
+The reference functions below are the plain per-part checks, the
+coordinate-by-coordinate law, and the sweep composed of the validated
+public methods: every accepted input must give the same result, and every
+rejected one the same ValueError message.
 """
 
 import random
@@ -11,8 +12,10 @@ import random
 import pytest
 
 from thetajordan.abelian import FiniteAbelianGroup
-from thetajordan.heis import ThetaElement, theta_group
+from thetajordan.bundlemodel import SWEEP_ROUNDS, _sanity_sweep, level_data
+from thetajordan.heis import ThetaElement, ThetaGroup, theta_group
 
+import test_bundlemodel
 from helpers import divisor_chains
 
 
@@ -172,3 +175,133 @@ class TestAgainstReference:
             )
 
         check()
+
+
+def ref_commutator(G, g, h):
+    """g h g^-1 h^-1 from the validated public mul and inv, checked against
+    the closed form (<h.l, g.k> - <g.l, h.k>, 0, 0)."""
+    direct = G.mul(G.mul(g, h), G.inv(G.mul(h, g)))
+    twist = (ref_twist(G, h.l, g.k) - ref_twist(G, g.l, h.k)) % G.m
+    closed = ThetaElement(twist, G.base.zero(), G.base.zero())
+    if direct != closed:
+        raise RuntimeError(
+            f"commutator mismatch: definitional {direct} vs closed form {closed}"
+        )
+    return direct
+
+
+def ref_sweep(theta, rng, label):
+    """The sanity sweep composed of the validated public mul and inv, which
+    re-check every operand, so each round makes 18 checks."""
+    out = []
+    e = theta.identity()
+    for _ in range(SWEEP_ROUNDS):
+        g = theta.random_element(rng)
+        h = theta.random_element(rng)
+        f = theta.random_element(rng)
+        try:
+            if theta.mul(theta.mul(g, h), f) != theta.mul(g, theta.mul(h, f)):
+                out.append(f"associativity failed at {g}, {h}, {f}")
+            if theta.mul(g, theta.inv(g)) != e:
+                out.append(f"inverse law failed at {g}")
+            ref_commutator(theta, g, h)
+        except RuntimeError as exc:
+            out.append(str(exc))
+        except ValueError as exc:
+            out.append(f"{label}: group law left the group at {g}, {h}, {f}: {exc}")
+            break
+    return out
+
+
+def sweep_outcome(sweep, theta, seed):
+    """The sweep's violation list, or the exception that escaped it (the
+    cubic law indexes k[0], which the trivial base does not have)."""
+    try:
+        return "ok", sweep(theta, random.Random(seed), "level 5")
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# name -> the unchecked law methods that law replaces
+LAWS = {
+    "correct": {},
+    "cubic": {"_mul": test_bundlemodel._cubic_mul,
+              "_inv": test_bundlemodel._cubic_inv},
+    "off-by-one inverse": {"_inv": test_bundlemodel._off_by_one_inv},
+    "symmetric": {"_mul": test_bundlemodel._symmetric_mul,
+                  "_inv": test_bundlemodel._symmetric_inv},
+    "leaky": {"_mul": test_bundlemodel._leaky_mul},
+}
+
+
+def counting_checks(monkeypatch):
+    """Patch ThetaGroup.check_element to count its calls; returns the count."""
+    calls = [0]
+    check = ThetaGroup.check_element
+
+    def counted(self, g):
+        calls[0] += 1
+        return check(self, g)
+
+    monkeypatch.setattr(ThetaGroup, "check_element", counted)
+    return calls
+
+
+class TestSweepAgainstReference:
+    THETAS = test_bundlemodel.TestSanitySweep.THETAS
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_same_violations(self, monkeypatch, law):
+        for name, fn in LAWS[law].items():
+            monkeypatch.setattr(ThetaGroup, name, fn)
+        violations = 0
+        for theta in self.THETAS:
+            for seed in range(5):
+                got = sweep_outcome(_sanity_sweep, theta, seed)
+                assert got == sweep_outcome(ref_sweep, theta, seed), (theta, seed)
+                violations += len(got[1]) if got[0] == "ok" else 0
+        # a broken law must show, or the comparison proves little
+        assert (violations == 0) == (law == "correct")
+
+    def test_eight_checks_per_round(self, monkeypatch):
+        calls = counting_checks(monkeypatch)
+        for theta in self.THETAS:
+            calls[0] = 0
+            assert _sanity_sweep(theta, random.Random(3), "level 5") == []
+            assert calls[0] == 8 * SWEEP_ROUNDS
+            calls[0] = 0
+            ref_sweep(theta, random.Random(3), "level 5")
+            assert calls[0] == 18 * SWEEP_ROUNDS
+
+    def test_commutator_and_element_order_check_each_value_once(self, monkeypatch):
+        calls = counting_checks(monkeypatch)
+        G = level_data(6).theta
+        g = ThetaElement(1, (2,), (3,))
+        h = ThetaElement(4, (1,), (5,))
+        assert G.commutator(g, h) == ref_commutator(G, g, h)
+        calls[0] = 0
+        G.commutator(g, h)
+        assert calls[0] == 5  # g, h, gh, hg, (hg)^-1
+        calls[0] = 0
+        assert G.element_order(g) == 6
+        assert calls[0] == 6  # g, then g^2 .. g^6
+
+    def test_one_law(self, monkeypatch):
+        # a law patched into the unchecked law is the law the public
+        # methods run: there is no second copy of it
+        G = level_data(5).theta
+        g = ThetaElement(1, (2,), (3,))
+        h = ThetaElement(4, (1,), (4,))
+        monkeypatch.setattr(ThetaGroup, "_mul", test_bundlemodel._cubic_mul)
+        assert G.mul(g, h) == test_bundlemodel._cubic_mul(G, g, h)
+        assert G.mul(g, h) != ref_mul(G, g, h)
+        monkeypatch.setattr(ThetaGroup, "_inv", test_bundlemodel._off_by_one_inv)
+        assert G.inv(g) == test_bundlemodel._off_by_one_inv(G, g)
+        assert G.inv(g) != ref_inv(G, g)
+        monkeypatch.setattr(ThetaGroup, "_mul", test_bundlemodel._leaky_mul)
+        with pytest.raises(ValueError, match="out of range mod 5"):
+            G.element_order(ThetaElement(4, (4,), (4,)))
+        monkeypatch.setattr(ThetaGroup, "_mul", test_bundlemodel._symmetric_mul)
+        monkeypatch.setattr(ThetaGroup, "_inv", test_bundlemodel._symmetric_inv)
+        with pytest.raises(RuntimeError, match="commutator mismatch"):
+            G.commutator(g, ThetaElement(4, (1,), (1,)))  # closed form (4, 0, 0)
