@@ -288,6 +288,8 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
     the closed form otherwise, so every threshold is answerable.  Raises
     BoundViolation if the evidence fails to beat the threshold.
     """
+    if not isinstance(threshold, int):
+        raise ValueError(f"threshold {threshold!r} is not an integer")
     if threshold < 1:
         raise ValueError(f"threshold {threshold} must be >= 1")
     n = threshold + 1

@@ -17,6 +17,7 @@ group descriptions are safe to use concurrently.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add, mod, mul, neg
 from typing import NamedTuple
 
@@ -222,8 +223,12 @@ class ThetaGroup:
         The tables are computed on indices a*m^2 + k*m + l (k, l the ranks
         of the base coordinates, as in index()) from the base's add, neg
         and evaluation tables; mul and inv are the reference they must
-        equal.  The row of (a, k, l) is the row of (0, k, l) rotated by the
-        central element (a, 0, 0).
+        equal.  Rows are built one (k, l) at a time: the m^2 entries of row
+        (0, k, l) with a' = 0 are computed in index arithmetic, the m central
+        rotations x -> x + a*m^2 (mod n) of one shared list of n ints extend
+        them to the whole row, and the row of (a, k, l) is that row rotated
+        by a*m^2, a slice of it doubled.  So only one row is alive beside the
+        table, and every entry is one of n shared int objects.
         """
         if self.order > cap:
             raise CapExceeded(
@@ -233,17 +238,21 @@ class ThetaGroup:
         mm = m * m
         add, neg, ev = index_tables(self.base, cap)
         ranks = range(m)
-        rows0 = [
-            [
-                (a2 + ev[l2][k]) % m * mm + add[k][k2] * m + add[l][l2]
-                for a2 in ranks for k2 in ranks for l2 in ranks
-            ]
-            for k in ranks for l in ranks
-        ]
-        table = []
-        for a in ranks:
-            rotate = list(range(a * mm, n)) + list(range(a * mm))
-            table.extend(tuple([rotate[x] for x in row]) for row in rows0)
+        vals = list(range(n))
+        rotations = [vals[a * mm:] + vals[:a * mm] for a in ranks]
+        table = [None] * n
+        for k in ranks:
+            for l in ranks:
+                block = [
+                    ev[l2][k] * mm + add[k][k2] * m + add[l][l2]
+                    for k2 in ranks for l2 in ranks
+                ]
+                # map, not itemgetter: a one-entry block (m = 1) stays a row
+                line = tuple(chain.from_iterable(
+                    map(rot.__getitem__, block) for rot in rotations))
+                line += line
+                for a in ranks:
+                    table[a * mm + k * m + l] = line[a * mm:a * mm + n]
         inv_table = [
             (ev[l][k] - a) % m * mm + neg[k] * m + neg[l]
             for a in ranks for k in ranks for l in ranks

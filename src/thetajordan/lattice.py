@@ -108,6 +108,7 @@ class ConcreteGroup:
         return self._mul[i][j] == self._mul[j][i]
 
     def describe(self, i: int) -> str:
+        index_tuple((i,), self.order, "element index")
         return self._describe(i) if self._describe else str(i)
 
     def centralizer_masks(self) -> list[int]:

@@ -44,15 +44,33 @@ class PairingSpace:
         z = self.base.zero()
         return (z, z)
 
+    def check_point(self, p: Point) -> None:
+        """ValueError naming p unless it is a 2-tuple of base elements."""
+        if isinstance(p, tuple) and len(p) == 2:
+            try:
+                self.base.check_element(p[0])
+                self.base.check_element(p[1])
+                return
+            except ValueError:
+                pass
+        raise ValueError(
+            f"point {p!r} is not a pair of elements of {self.base.spec_string()}"
+        )
+
     def add(self, p: Point, q: Point) -> Point:
+        self.check_point(p)
+        self.check_point(q)
         return (self.base.add(p[0], q[0]), self.base.add(p[1], q[1]))
 
     def neg(self, p: Point) -> Point:
+        self.check_point(p)
         return (self.base.neg(p[0]), self.base.neg(p[1]))
 
     def pairing(self, p: Point, q: Point) -> int:
         """Antisymmetric, bilinear, nondegenerate exponent pairing mod m: the
         exponent of the central commutator of any theta-group lifts of p, q."""
+        self.check_point(p)
+        self.check_point(q)
         k, l = p
         k2, l2 = q
         m = self.m
@@ -68,9 +86,8 @@ class PairingSpace:
         return [(k, l) for k in els for l in els]
 
     def index(self, p: Point) -> int:
+        self.check_point(p)
         fs = self.base.invariant_factors
-        self.base.check_element(p[0])
-        self.base.check_element(p[1])
         return radix_rank(p[0] + p[1], fs + fs)
 
     def point(self, idx: int) -> Point:

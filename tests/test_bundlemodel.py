@@ -331,6 +331,13 @@ class TestJordanCertificate:
         with pytest.raises(ValueError):
             jordan_certificate(DiffeoClass(0), 0)
 
+    def test_threshold_must_be_an_integer(self):
+        for bad in (1.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match=f"threshold {bad!r} is not an integer"):
+                jordan_certificate(DiffeoClass(0), bad)
+        # ints count, bools included
+        assert jordan_certificate(DiffeoClass(1), True).n == 3
+
     def test_corruption_raises_bound_violation(self, monkeypatch):
         monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
         with pytest.raises(BoundViolation):

@@ -316,14 +316,22 @@ class TestConcrete:
 
     def test_sampled_cells_at_order_4096(self):
         # the exhaustive comparison above stops at order 512
-        G = theta([4, 4])
-        C = G.to_concrete(cap=4096)
-        rng = random.Random(4096)
-        for _ in range(1000):  # 1000 mul cells and 1000 inverse entries
-            i, j = rng.randrange(G.order), rng.randrange(G.order)
-            g, h = G.element(i), G.element(j)
-            assert C.mul(i, j) == G.index(G.mul(g, h))
-            assert C.inv(i) == G.index(G.inv(g))
+        for factors in ([16], [4, 4]):
+            G = theta(factors)
+            C = G.to_concrete(cap=4096)
+            rng = random.Random(4096)
+            for _ in range(1000):  # 1000 mul cells and 1000 inverse entries
+                i, j = rng.randrange(G.order), rng.randrange(G.order)
+                g, h = G.element(i), G.element(j)
+                assert C.mul(i, j) == G.index(G.mul(g, h))
+                assert C.inv(i) == G.index(G.inv(g))
+            del C  # one order-4096 table alive at a time
+
+    def test_entries_are_shared_ints(self):
+        # every entry of an order-512 table is one of 512 int objects, so
+        # comparing rows meets identical objects
+        C = theta([8]).to_concrete()
+        assert len({id(x) for row in C._mul for x in row}) <= C.order
 
     def test_describe_renders_elements(self):
         G = theta([2])

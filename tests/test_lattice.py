@@ -125,6 +125,19 @@ class TestConcreteGroup:
                 lookup(1.0)
         assert (G.mul(True, 2), G.inv(True), G.commute(True, 2)) == (0, 2, True)
 
+    def test_describe_follows_the_index_rule(self):
+        plain = ConcreteGroup(cyclic_table(3))
+        theta = concrete_theta([2])
+        for G, n in ((plain, 3), (theta, 8)):
+            for bad in (-1, n):
+                with pytest.raises(ValueError,
+                                   match=f"element index {bad} out of range 0..{n - 1}"):
+                    G.describe(bad)
+            with pytest.raises(ValueError, match="element index 1.5 is not an integer"):
+                G.describe(1.5)
+        assert [plain.describe(i) for i in range(3)] == ["0", "1", "2"]
+        assert theta.describe(7) == "(1; 1; 1)"
+
     def test_from_mul_fn_derives_inverses(self):
         G = ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
         assert [G.inv(i) for i in range(6)] == [0, 5, 4, 3, 2, 1]

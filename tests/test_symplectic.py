@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
@@ -79,6 +81,26 @@ class TestPairing:
     def test_point_rejects_float_index(self):
         with pytest.raises(ValueError, match="index 4.5 is not an integer"):
             space([2]).point(4.5)
+
+    def test_one_point_check(self):
+        P = space([3])
+        good = ((0,), (1,))
+        bad_points = (
+            ((0,), (1,), (2,)),  # a third part
+            ((0,),),
+            [(0,), (1,)],  # not a tuple
+            ((0,), (3,)),  # character out of range
+            ((0, 0), (1,)),
+            ((0.0,), (1,)),
+            None,
+        )
+        for bad in bad_points:
+            for call in (lambda: P.index(bad), lambda: P.neg(bad),
+                         lambda: P.add(bad, good), lambda: P.add(good, bad),
+                         lambda: P.pairing(bad, good), lambda: P.pairing(good, bad)):
+                with pytest.raises(ValueError, match=re.escape(f"point {bad!r} ")):
+                    call()
+        assert P.index(good) == 1
 
 
 class TestBridgeToCommutator:
