@@ -11,7 +11,6 @@ is integer arithmetic; no floating point, no complex numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd, prod
 from operator import add, mod, neg
@@ -49,26 +48,54 @@ def _divisibility_chain(factors: list[int]) -> list[int]:
     return fs
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class _Frozen:
+    """Base of the validated value types: immutable after __init__, equal
+    only to the same class, and hashed and shown by the field _field names."""
+
+    __slots__ = ()
+    _field = ""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return getattr(self, self._field) == getattr(other, self._field)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((getattr(self, self._field),))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={getattr(self, self._field)!r})"
+
+    def __reduce__(self):
+        return type(self), (getattr(self, self._field),)
+
+
+class FiniteAbelianGroup(_Frozen):
     """Canonical invariant-factor form of a finite abelian group."""
 
-    invariant_factors: Coords = ()
+    __slots__ = ("invariant_factors", "order", "rank")
+    _field = "invariant_factors"
 
-    def __post_init__(self):
-        fs = tuple(self.invariant_factors)
+    def __init__(self, invariant_factors: Coords = ()):
+        fs = tuple(invariant_factors)
         for d in fs:
             if not isinstance(d, int):
                 raise ValueError(f"invariant factor {d!r} is not an integer")
         fs = tuple(map(int, fs))
-        object.__setattr__(self, "invariant_factors", fs)
         for i, d in enumerate(fs):
             if d < 2:
                 raise ValueError(f"invariant factor {d} is < 2")
             if i and d % fs[i - 1]:
                 raise ValueError(f"factors {fs} break the divisibility chain")
-        # Cached shape: plain attributes, not fields, so equality and
-        # hashing still see only the invariant factors.
+        object.__setattr__(self, "invariant_factors", fs)
+        # Cached shape: slots outside _field, so equality and hashing still
+        # see only the invariant factors.
         object.__setattr__(self, "order", prod(fs))
         object.__setattr__(self, "rank", len(fs))
 

@@ -12,16 +12,14 @@ as a Jordan constant for that class.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import random
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .abelian import CapExceeded, Coords, FiniteAbelianGroup, make_group
+from .abelian import CapExceeded, Coords, FiniteAbelianGroup, _Frozen, make_group
 from .heis import ThetaGroup, theta_group
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, max_abelian_order
 from .symplectic import structural_min_abelian_index
@@ -52,19 +50,28 @@ class BoundViolation(RuntimeError):
     """A computed entry breaks the index bound, or the two methods disagree."""
 
 
-@dataclass(frozen=True)
-class DiffeoClass:
+class DiffeoClass(_Frozen):
     """Diffeomorphism class of the bundle total space: the level parity."""
 
-    parity: int
+    __slots__ = ("parity",)
+    _field = "parity"
 
-    def __post_init__(self):
-        if not isinstance(self.parity, int) or self.parity not in (0, 1):
-            raise ValueError(f"parity {self.parity!r} is not the integer 0 or 1")
+    def __init__(self, parity: int):
+        if not isinstance(parity, int) or parity not in (0, 1):
+            raise ValueError(f"parity {parity!r} is not the integer 0 or 1")
+        object.__setattr__(self, "parity", parity)
 
     @property
     def description(self) -> str:
         return _CLASS_DESCRIPTIONS[self.parity]
+
+
+def _check_positive(value: int, what: str) -> None:
+    """ValueError naming `what` unless value is an int (bools count) >= 1."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    if value < 1:
+        raise ValueError(f"{what} {value} must be >= 1")
 
 
 def diffeo_class(n: int) -> DiffeoClass:
@@ -76,8 +83,7 @@ def diffeo_class(n: int) -> DiffeoClass:
 
 def torsion_group(k: int) -> FiniteAbelianGroup:
     """The k-torsion subgroup of the 2-torus: Z_k + Z_k, order k^2."""
-    if k < 1:
-        raise ValueError(f"torsion level {k} must be >= 1")
+    _check_positive(k, "torsion level")
     return make_group([k, k])
 
 
@@ -87,7 +93,9 @@ def torsion_inclusion(d: int, k: int) -> Callable[[Coords], Coords]:
     Scales each coordinate by k/d; the image is exactly the d-torsion part
     of the larger group.
     """
-    if d < 1 or k < 1 or k % d:
+    _check_positive(d, "torsion level")
+    _check_positive(k, "torsion level")
+    if k % d:
         raise ValueError(f"{d} does not divide {k}")
     scale = k // d
     src = torsion_group(d)
@@ -100,8 +108,7 @@ def torsion_inclusion(d: int, k: int) -> Callable[[Coords], Coords]:
     return embed
 
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(NamedTuple):
     """One member of the family: level n, its base group and theta group."""
 
     n: int
@@ -119,21 +126,18 @@ class LevelData:
 
 def level_data(n: int) -> LevelData:
     """Level n: cyclic base of order n, theta group of order n^3."""
-    if n < 1:
-        raise ValueError(f"level {n} must be >= 1")
+    _check_positive(n, "level")
     base = make_group([n])
     return LevelData(n=n, torsion_order=n * n, base=base, theta=theta_group(base))
 
 
 def family_for_class(cls: DiffeoClass, n_max: int) -> list[LevelData]:
     """All levels 1..n_max of the given parity, ascending."""
-    if n_max < 1:
-        raise ValueError(f"n_max {n_max} must be >= 1")
+    _check_positive(n_max, "n_max")
     return [level_data(n) for n in range(1, n_max + 1) if n % 2 == cls.parity]
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     n: int
     group_order: int
     max_abelian_order: int
@@ -142,8 +146,7 @@ class ReportEntry:
     elapsed_s: float | None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Evidence that the threshold is not a Jordan constant for the class."""
 
     threshold: int
@@ -153,8 +156,7 @@ class Certificate:
     method: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     manifold_class: DiffeoClass
     entries: tuple[ReportEntry, ...]
     threshold_certificates: tuple[Certificate, ...]
@@ -288,10 +290,7 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
     the closed form otherwise, so every threshold is answerable.  Raises
     BoundViolation if the evidence fails to beat the threshold.
     """
-    if not isinstance(threshold, int):
-        raise ValueError(f"threshold {threshold!r} is not an integer")
-    if threshold < 1:
-        raise ValueError(f"threshold {threshold} must be >= 1")
+    _check_positive(threshold, "threshold")
     n = threshold + 1
     if n % 2 != cls.parity:
         n += 1
@@ -351,9 +350,9 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
 # --- serialization -------------------------------------------------------
 
 def report_to_dict(report: VerificationReport) -> dict:
-    # the dataclass fields are the report's field list; elapsed_s is None
+    # the record fields are the report's field list; elapsed_s is None
     # when timings are off, and is then left out
-    entries = [vars(e).copy() for e in report.entries]
+    entries = [e._asdict() for e in report.entries]
     for row in entries:
         if row["elapsed_s"] is None:
             del row["elapsed_s"]
@@ -362,7 +361,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "manifold": report.manifold_class.description,
         "entries": entries,
         "threshold_certificates": [
-            vars(c).copy() for c in report.threshold_certificates
+            c._asdict() for c in report.threshold_certificates
         ],
     }
 
@@ -389,6 +388,7 @@ def render_json(doc: dict) -> str:
 
 def render_csv(doc: dict) -> str:
     """One verification entry per row, across all classes in the document."""
+    import csv  # only this renderer needs it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .abelian import CapExceeded, ENUMERATION_CAP, parse_group_spec
 from .bundlemodel import (
@@ -35,8 +34,7 @@ EXIT_IO = 3
 _RENDERERS = {"json": render_json, "csv": render_csv, "table": render_table}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     manifold_class: str = "both"  # "0" | "1" | "both"
     n_max: int = 6
     mode: str = "both"  # oracle | structural | both
@@ -186,11 +184,10 @@ def run(config: RunConfig):
         print(f"theta-jordan: {exc}", file=sys.stderr)
         return {}, EXIT_USAGE
 
-    generated = (
-        None
-        if config.no_timestamps
-        else datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
+    generated = None
+    if not config.no_timestamps:
+        from datetime import datetime, timezone  # only timestamped runs need it
+        generated = datetime.now(timezone.utc).isoformat(timespec="seconds")
     doc = document(reports, _config_echo(config), violations, generated_at=generated)
     text = _RENDERERS[config.output_format](doc)
     try:

@@ -292,12 +292,18 @@ def parse_element(group: ThetaGroup, text: str) -> ThetaElement:
     if len(parts) != 3:
         raise ValueError(f"element text {text!r} does not have three ';' fields")
 
-    def coords(part: str) -> Coords:
-        part = part.strip()
-        if not part:
-            return ()
-        return tuple(int(tok.strip()) for tok in part.split(","))
+    def number(tok: str) -> int:
+        # only what format_element emits: ASCII digits, no sign or '_'
+        tok = tok.strip()
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"bad number {tok!r} in element text {text!r}")
+        return int(tok)
 
-    g = ThetaElement(int(parts[0].strip()), coords(parts[1]), coords(parts[2]))
+    def coords(part: str) -> Coords:
+        if not part.strip():
+            return ()
+        return tuple(map(number, part.split(",")))
+
+    g = ThetaElement(number(parts[0]), coords(parts[1]), coords(parts[2]))
     group.check_element(g)
     return g

@@ -14,11 +14,10 @@ it reads off the verified multiplication table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .abelian import CapExceeded, ENUMERATION_CAP, index_tuple
+from .abelian import CapExceeded, ENUMERATION_CAP, _Frozen, index_tuple
 
 DEFAULT_ORACLE_CAP = 512
 
@@ -136,14 +135,14 @@ class ConcreteGroup:
         return out
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Frozen):
     """Deduplicated, sorted member indices; the canonical subgroup key."""
 
-    members: tuple[int, ...]
+    __slots__ = ("members",)
+    _field = "members"
 
-    def __post_init__(self):
-        ms = tuple(sorted(set(index_tuple(self.members, None, "member"))))
+    def __init__(self, members: Iterable[int]):
+        ms = tuple(sorted(set(index_tuple(members, None, "member"))))
         object.__setattr__(self, "members", ms)
 
     @property

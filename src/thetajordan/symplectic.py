@@ -17,7 +17,7 @@ largest subgroup on which the pairing vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abelian import CapExceeded, Coords, ENUMERATION_CAP, FiniteAbelianGroup
 from .abelian import index_tables, index_tuple, radix_rank, radix_unrank
@@ -26,8 +26,7 @@ from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, _max_related
 Point = tuple[Coords, Coords]
 
 
-@dataclass(frozen=True)
-class PairingSpace:
+class PairingSpace(NamedTuple):
     """The group K + K^ of (element, character) pairs with its pairing."""
 
     base: FiniteAbelianGroup

@@ -1,5 +1,6 @@
 import cmath
-import dataclasses
+import copy
+import pickle
 from math import prod
 
 import pytest
@@ -11,6 +12,8 @@ from thetajordan.abelian import (
     make_group,
     parse_group_spec,
 )
+from thetajordan.bundlemodel import DiffeoClass, ReportEntry
+from thetajordan.lattice import Subgroup
 
 from helpers import (
     addition_table,
@@ -76,9 +79,32 @@ class TestMakeGroup:
     def test_cached_shape_is_not_a_field(self):
         G = FiniteAbelianGroup([2, 4])
         assert (G.order, G.rank) == (8, 2)
-        assert [f.name for f in dataclasses.fields(G)] == ["invariant_factors"]
         assert G == make_group([4, 2]) and hash(G) == hash(make_group([4, 2]))
         assert repr(G) == "FiniteAbelianGroup(invariant_factors=(2, 4))"
+        # order and rank are stored, and a stale copy of them changes
+        # neither equality, nor the hash, nor the repr
+        stale = FiniteAbelianGroup([2, 4])
+        object.__setattr__(stale, "order", 0)
+        object.__setattr__(stale, "rank", 0)
+        assert (stale.order, stale.rank) == (0, 0)
+        assert stale == G and hash(stale) == hash(G) and repr(stale) == repr(G)
+
+    def test_value_types_reject_assignment(self):
+        for value, field in (
+            (FiniteAbelianGroup([2]), "invariant_factors"),
+            (FiniteAbelianGroup([2]), "order"),
+            (DiffeoClass(0), "parity"),
+            (Subgroup([0]), "members"),
+            (ReportEntry(1, 1, 1, 1, "both", None), "n"),
+        ):
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            # copies still work, and come back equal
+            assert copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
 
     def test_constructor_rejects_broken_chain(self):
         with pytest.raises(ValueError):

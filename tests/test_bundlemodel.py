@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -101,6 +102,33 @@ class TestLevelData:
             level_data(0)
 
 
+class TestLevelArguments:
+    CALLS = [
+        (level_data, "level"),
+        (lambda v: family_for_class(DiffeoClass(0), v), "n_max"),
+        (torsion_group, "torsion level"),
+        (lambda v: torsion_inclusion(v, 4), "torsion level"),
+        (lambda v: torsion_inclusion(2, v), "torsion level"),
+    ]
+
+    def test_non_integers_are_named(self):
+        for call, what in self.CALLS:
+            for bad in (2.0, "3", None):
+                with pytest.raises(ValueError, match=re.escape(f"{what} {bad!r} is not an integer")):
+                    call(bad)
+
+    def test_nonpositive_are_named(self):
+        for call, what in self.CALLS:
+            with pytest.raises(ValueError, match=f"{what} 0 must be >= 1"):
+                call(0)
+
+    def test_bools_count_as_ints(self):
+        assert level_data(True).n == 1
+        assert [lv.n for lv in family_for_class(DiffeoClass(1), True)] == [1]
+        assert torsion_group(True).order == 1
+        assert torsion_inclusion(True, 2)(()) == (0, 0)
+
+
 class TestDiffeoClass:
     def test_examples(self):
         assert diffeo_class(0).parity == 0
@@ -127,6 +155,11 @@ class TestDiffeoClass:
 
     def test_bool_parity_accepted(self):
         assert DiffeoClass(True) == DiffeoClass(1)
+
+    def test_equal_only_to_its_own_class(self):
+        assert DiffeoClass(1) != (1,)
+        assert DiffeoClass(1) != 1
+        assert repr(DiffeoClass(1)) == "DiffeoClass(parity=1)"
 
     def test_descriptions_differ(self):
         assert DiffeoClass(0).description != DiffeoClass(1).description

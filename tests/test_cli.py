@@ -247,6 +247,31 @@ class TestBinary:
         )
         assert io_err.returncode == EXIT_IO
 
+    def test_cli_imports_only_what_a_run_uses(self):
+        # a fresh interpreter, compared with what it loaded before the import
+        # so that site preloads do not count
+        probe = (
+            "import sys; before = set(sys.modules); import thetajordan.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        added = set(done.stdout.split())
+        assert "thetajordan.cli" in added
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "datetime"}
+        assert not added & heavy
+
+    def test_lazily_imported_paths(self):
+        csv_run = run_cli(["verify", "--max-n", "2", "--format", "csv", "--no-timestamps"])
+        assert csv_run.returncode == EXIT_OK, csv_run.stderr
+        assert csv_run.stdout.startswith(
+            "class,n,group_order,max_abelian_order,min_abelian_index,method,elapsed_s\n"
+        )
+        table = run_cli(["verify", "--max-n", "2", "--format", "table"])
+        assert table.returncode == EXIT_OK, table.stderr
+        assert "\ngenerated at " in table.stdout
+
     def test_byte_identical_json(self):
         args = ["verify", "--no-timestamps", "--format", "json"]
         first = run_cli(args)

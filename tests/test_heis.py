@@ -298,6 +298,15 @@ class TestRendering:
         for bad in ("1; 0; 0", "(1; 0)", "(9; 0; 0)", "(0; 5; 0)", "(a; 0; 0)"):
             with pytest.raises(ValueError):
                 parse_element(G, bad)
+        # only the ASCII digits format_element emits, even where int() would
+        # read a value in range
+        G = theta([16])
+        for bad in ("(1_0; 0; 0)", "(0; 1_1; 0)", "(0; 0; 1_2)", "(+1; 0; 0)",
+                    "(\u0663; 0; 0)", "(-0; 0; 0)", "(; 0; 0)", "(0; 1,; 0)"):
+            with pytest.raises(ValueError):
+                parse_element(G, bad)
+        # whitespace around a token stays allowed
+        assert parse_element(G, " ( 10 ;11 ; 12 ) ") == ThetaElement(10, (11,), (12,))
 
 
 class TestConcrete:
