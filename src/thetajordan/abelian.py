@@ -148,6 +148,8 @@ class FiniteAbelianGroup(_Frozen):
         self.check_element(x)
         if m is None:
             m = self.order
+        elif not isinstance(m, int):
+            raise ValueError(f"ambient order {m!r} is not an integer")
         if m < 1:
             raise ValueError(f"ambient order {m} must be >= 1")
         for d in self.invariant_factors:

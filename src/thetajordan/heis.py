@@ -11,6 +11,13 @@ character l' at k.  The center is the exponent factor {(a, 0, 0)} and every
 commutator lands in it, which is what the whole abelian-index analysis
 hangs on.
 
+On a cyclic base (every level of the family is one) the law runs in a
+scalar form: k = (k0,), l = (l0,) and <l', k> = l0' * k0 mod m in plain int
+arithmetic.  Every other rank runs the generic coordinate-wise form, which
+is the reference the scalar form must equal.  The commutator bridge takes
+its closed form from the base's validated evaluation pairing, not from the
+law's twist, so one broken twist cannot break the law and its check alike.
+
 All values are immutable and all operations are pure functions, so shared
 group descriptions are safe to use concurrently.
 """
@@ -40,6 +47,10 @@ class ThetaElement(NamedTuple):
     l: Coords
 
 
+# builds a ThetaElement from one tuple without the NamedTuple __new__ frame
+_new = tuple.__new__
+
+
 class ThetaGroup:
     """The group of order m^3 on triples (a, k, l), m = |K|."""
 
@@ -50,6 +61,7 @@ class ThetaGroup:
         self._fs = fs = base.invariant_factors
         self._scales = tuple(m // d for d in fs)  # <l, k> = sum l_i k_i m/d_i
         self._radices = (m, *fs, *fs)  # index() digits: a, then k, then l
+        self._cyclic = len(fs) == 1  # scalar law: <l, k> = l0 * k0 mod m
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ThetaGroup) and other.base == self.base
@@ -69,8 +81,18 @@ class ThetaGroup:
         # One pass over the digits (a, *k, *l); on any failure the per-part
         # checks below name what is wrong.
         a, k, l = g
-        r = self.base.rank
-        if isinstance(k, tuple) and isinstance(l, tuple) and len(k) == len(l) == r:
+        if self._cyclic:
+            m = self.m
+            if (isinstance(k, tuple) and isinstance(l, tuple)
+                    and len(k) == 1 and len(l) == 1):
+                k0 = k[0]
+                l0 = l[0]
+                if (isinstance(a, int) and isinstance(k0, int)
+                        and isinstance(l0, int)
+                        and 0 <= a < m and 0 <= k0 < m and 0 <= l0 < m):
+                    return
+        elif (isinstance(k, tuple) and isinstance(l, tuple)
+                and len(k) == len(l) == self.base.rank):
             for c, d in zip((a, *k, *l), self._radices):
                 if not (isinstance(c, int) and 0 <= c < d):
                     break
@@ -91,18 +113,29 @@ class ThetaGroup:
     # validate each value once, before the law consumes it.
 
     def _mul(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
+        m = self.m
+        if self._cyclic:
+            ga, (gk,), (gl,) = g
+            ha, (hk,), (hl,) = h
+            return _new(ThetaElement, (
+                (ga + ha + hl * gk) % m, ((gk + hk) % m,), ((gl + hl) % m,)
+            ))
         fs = self._fs
         return ThetaElement(
-            (g.a + h.a + self._twist(h.l, g.k)) % self.m,
+            (g.a + h.a + self._twist(h.l, g.k)) % m,
             tuple(map(mod, map(add, g.k, h.k), fs)),
             tuple(map(mod, map(add, g.l, h.l), fs)),
         )
 
     def _inv(self, g: ThetaElement) -> ThetaElement:
         """Closed-form inverse (-a + <l, k>, -k, -l)."""
+        m = self.m
+        if self._cyclic:
+            a, (k,), (l,) = g
+            return _new(ThetaElement, ((l * k - a) % m, (-k % m,), (-l % m,)))
         fs = self._fs
         return ThetaElement(
-            (self._twist(g.l, g.k) - g.a) % self.m,
+            (self._twist(g.l, g.k) - g.a) % m,
             tuple(map(mod, map(neg, g.k), fs)),
             tuple(map(mod, map(neg, g.l), fs)),
         )
@@ -113,12 +146,15 @@ class ThetaGroup:
         (<h.l, g.k> - <g.l, h.k>, 0, 0).
 
         The caller has validated g, h and the products gh and hg; this
-        validates (hg)^-1.  A mismatch raises RuntimeError.
+        validates (hg)^-1.  The closed form comes from the validated
+        evaluation pairing of the base, not from the law's own twist, so a
+        broken twist cannot break both.  A mismatch raises RuntimeError.
         """
         hg_inv = self._inv(hg)
         self.check_element(hg_inv)
         direct = self._mul(gh, hg_inv)
-        twist = (self._twist(h.l, g.k) - self._twist(g.l, h.k)) % self.m
+        ev, m = self.base.evaluate, self.m
+        twist = (ev(h.l, g.k, m) - ev(g.l, h.k, m)) % m
         closed = ThetaElement(twist, self.base.zero(), self.base.zero())
         if direct != closed:
             raise RuntimeError(
@@ -265,7 +301,11 @@ class ThetaGroup:
         )
 
     def random_element(self, rng) -> ThetaElement:
+        """One randrange per digit: a, then k, then l."""
         draw = rng.randrange
+        if self._cyclic:
+            m = self.m
+            return _new(ThetaElement, (draw(m), (draw(m),), (draw(m),)))
         return ThetaElement(
             draw(self.m), tuple(map(draw, self._fs)), tuple(map(draw, self._fs))
         )

@@ -227,6 +227,17 @@ class TestEvaluate:
             G.evaluate((1,), (1,), 6)
         assert G.evaluate((1,), (1,), 8) == 2
 
+    def test_ambient_order_must_be_an_integer(self):
+        G = make_group([2])
+        for m in (4.0, 2.5, "4"):
+            with pytest.raises(ValueError, match=f"ambient order {m!r} is not"):
+                G.evaluate((1,), (1,), m)
+        assert G.evaluate((1,), (1,), 4) == 2
+        # bools count as ints: True is the ambient order 1
+        assert make_group([1]).evaluate((), (), True) == 0
+        with pytest.raises(ValueError, match="factor 2 does not divide ambient order True"):
+            G.evaluate((1,), (1,), True)
+
 
 class TestNondegeneracy:
     def test_trivial(self):

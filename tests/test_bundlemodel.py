@@ -263,6 +263,16 @@ def _symmetric_inv(self, g):
     return right._replace(a=(right.a + extra) % self.m)
 
 
+def _zero_twist(self, l, k):
+    """<l, k> = 0 everywhere: the law becomes the abelian Z_m x K x K^."""
+    return 0
+
+
+def _first_coordinate_twist(self, l, k):
+    """<l, k> from the first base coordinate alone, dropping the rest."""
+    return l[0] * k[0] * (self.m // self.base.invariant_factors[0]) % self.m
+
+
 class TestSanitySweep:
     THETAS = [level_data(n).theta for n in (1, 2, 5, 12)] + [
         theta_group(make_group(fs)) for fs in ([2, 2], [4, 2], [2, 2, 2])
@@ -309,6 +319,19 @@ class TestSanitySweep:
         assert left == violations[-1:]  # the sweep stops there
         assert left[0].startswith("level 3: group law left the group at ")
         assert left[0].endswith("out of range mod 3")
+
+    @pytest.mark.parametrize("twist", [_zero_twist, _first_coordinate_twist])
+    @pytest.mark.parametrize("spec", ["Z4xZ2", "Z2xZ2xZ2"])
+    @pytest.mark.parametrize("mode", ["oracle", "structural", "both"])
+    def test_broken_twist_exits_1(self, monkeypatch, capsys, twist, spec, mode):
+        # the bridge's closed form comes from the base's evaluation pairing,
+        # so a twist broken in the law alone shows as a commutator mismatch
+        monkeypatch.setattr(ThetaGroup, "_twist", twist)
+        code = main(["verify", "--base-group", spec, "--mode", mode,
+                     "--format", "json", "--no-timestamps"])
+        out, _ = capsys.readouterr()
+        assert code == EXIT_VIOLATION
+        assert "commutator mismatch" in out
 
     def test_law_leaving_the_group_exits_1_with_report(self, monkeypatch, capsys):
         monkeypatch.setattr(ThetaGroup, "_mul", _leaky_mul)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from thetajordan.abelian import FiniteAbelianGroup
+from thetajordan.abelian import FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import SWEEP_ROUNDS, _sanity_sweep, level_data
 from thetajordan.heis import ThetaElement, ThetaGroup, theta_group
 
@@ -23,6 +23,8 @@ def ref_base_check(K, x):
     if not isinstance(x, tuple) or len(x) != K.rank:
         raise ValueError(f"element {x!r} does not have {K.rank} coordinates")
     for c, d in zip(x, K.invariant_factors):
+        if not isinstance(c, int):
+            raise ValueError(f"coordinate {c!r} is not an integer")
         if not 0 <= c < d:
             raise ValueError(f"coordinate {c} out of range for Z_{d}")
 
@@ -30,6 +32,8 @@ def ref_base_check(K, x):
 def ref_check(G, g):
     if not isinstance(g, ThetaElement):
         raise ValueError(f"{g!r} is not a ThetaElement")
+    if not isinstance(g.a, int):
+        raise ValueError(f"central exponent {g.a!r} is not an integer")
     if not 0 <= g.a < G.m:
         raise ValueError(f"central exponent {g.a} out of range mod {G.m}")
     ref_base_check(G.base, g.k)
@@ -89,7 +93,28 @@ def bad_elements(G):
         None,
         ThetaElement(G.m, zero, zero),  # a equal to m
         ThetaElement(-1, zero, zero),
+        ThetaElement(0, 0, zero),  # an int or a str instead of a tuple
+        ThetaElement(0, zero, "0"),
     ]
+
+
+def odd_elements(G):
+    """(digit, element) pairs with a float, str or bool digit at each
+    position of an element; only the bools are valid, as bools are ints."""
+    zero = G.base.zero()
+    out = []
+    for odd in (1.0, 0.5, "1", True, False):
+        out.append((odd, ThetaElement(odd, zero, zero)))
+        for i in range(G.base.rank):
+            x = zero[:i] + (odd,) + zero[i + 1:]
+            out.append((odd, ThetaElement(0, x, zero)))
+            out.append((odd, ThetaElement(0, zero, x)))
+    return out
+
+
+# Cyclic bases, which run the scalar form of the law; [2, 3] canonicalizes
+# to Z6.
+CYCLIC = [[m] for m in (*range(2, 41), 97, 256, 1000)] + [[2, 3]]
 
 
 class TestAgainstReference:
@@ -115,8 +140,9 @@ class TestAgainstReference:
 
     def test_random_element_draws_as_before(self):
         # one randrange per digit, a first, then k, then l
-        for fs in ((), (6,), (2, 4), (2, 2, 2)):
-            G = theta_group(FiniteAbelianGroup(fs))
+        for factors in ([1], [2, 4], [2, 2, 2], *CYCLIC):
+            G = theta_group(make_group(factors))
+            fs = G.base.invariant_factors
             new, old = random.Random(5), random.Random(5)
             for _ in range(50):
                 assert G.random_element(new) == ThetaElement(
@@ -125,9 +151,11 @@ class TestAgainstReference:
                     tuple(old.randrange(d) for d in fs),
                 )
 
-    @pytest.mark.parametrize("fs", [(2,), (5,), (2, 4), (2, 2, 2)])
+    @pytest.mark.parametrize("fs", [(2,), (5,), (2, 4), (2, 2, 2)] + [
+        fs for fs in CYCLIC if fs not in ([2], [5])
+    ])
     def test_bad_inputs_same_message(self, fs):
-        G = theta_group(FiniteAbelianGroup(fs))
+        G = theta_group(make_group(fs))
         e = G.identity()
         for bad in bad_elements(G):
             want = outcome(ref_check, G, bad)
@@ -137,10 +165,36 @@ class TestAgainstReference:
             assert outcome(G.mul, e, bad) == want
             assert outcome(G.inv, bad) == want
             assert outcome(G.index, bad) == want
+        # the same accept or reject, and the same result or message
+        g = G.random_element(random.Random(G.m))
+        for digit, odd in odd_elements(G):
+            want = outcome(ref_check, G, odd)
+            assert (want[0] == "ok") == isinstance(digit, bool), odd
+            assert outcome(G.check_element, odd) == want
+            assert outcome(G.mul, odd, g) == outcome(ref_mul, G, odd, g)
+            assert outcome(G.mul, g, odd) == outcome(ref_mul, G, g, odd)
+            assert outcome(G.inv, odd) == outcome(ref_inv, G, odd)
         K = G.base
-        for bad in bad_elements(G)[:8]:
+        for bad in bad_elements(G)[:8] + [odd for _, odd in odd_elements(G)]:
             for x in (bad.k, bad.l):
                 assert outcome(K.check_element, x) == outcome(ref_base_check, K, x)
+
+    @pytest.mark.parametrize("factors", CYCLIC, ids=lambda fs: "x".join(map(str, fs)))
+    def test_scalar_form_sampled(self, factors):
+        # a cyclic base runs the scalar form; the generic form, forced on a
+        # second copy of the group, must give the same values
+        G = theta_group(make_group(factors))
+        generic = theta_group(G.base)
+        generic._cyclic = False
+        rng = random.Random(G.m)
+        for _ in range(200):
+            g = G.random_element(rng)
+            h = G.random_element(rng)
+            assert G.check_element(g) is ref_check(G, g) is None
+            assert G.mul(g, h) == ref_mul(G, g, h) == generic.mul(g, h)
+            assert G.inv(g) == ref_inv(G, g) == generic.inv(g)
+            assert G.commutator(g, h) == ref_commutator(G, g, h)
+            assert type(G.mul(g, h)) is type(G.inv(g)) is ThetaElement
 
     def test_generated_tuples(self):
         hypothesis = pytest.importorskip("hypothesis")
