@@ -28,24 +28,27 @@ class CapExceeded(RuntimeError):
     """An operation would enumerate more elements than its cap allows."""
 
 
+def check_cap(order: int, cap: int, what: str) -> None:
+    """CapExceeded naming `what` when its order is above the cap."""
+    if order > cap:
+        raise CapExceeded(f"{what} of order {order} exceeds the cap {cap}")
+
+
 def _divisibility_chain(factors: list[int]) -> list[int]:
     # Replacing a pair (a, b) with (gcd, lcm) preserves the multiset of
-    # prime-power components, and the fixed point of doing so is the unique
-    # invariant-factor chain.  No integer factorization needed.
-    fs = sorted(f for f in factors if f > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                a, b = fs[i], fs[j]
-                if a > 1 and b % a:
-                    g = gcd(a, b)
-                    fs[i], fs[j] = g, a * b // g
-                    changed = True
-        if changed:
-            fs = sorted(f for f in fs if f > 1)
-    return fs
+    # prime-power components.  One pass over the pairs i < j suffices: once
+    # position i has met every later position it divides all of them, and
+    # later swaps (which replace two multiples of fs[i] by their gcd and lcm)
+    # keep that.  So the result is the unique invariant-factor chain, with
+    # the 1s first.  No integer factorization needed.
+    fs = [f for f in factors if f > 1]
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            a, b = fs[i], fs[j]
+            if b % a:
+                g = gcd(a, b)
+                fs[i], fs[j] = g, a * b // g
+    return [f for f in fs if f > 1]
 
 
 class _Frozen:
@@ -131,10 +134,7 @@ class FiniteAbelianGroup(_Frozen):
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[AbElement]:
         """All elements in lexicographic coordinate order; zero comes first."""
-        if self.order > cap:
-            raise CapExceeded(
-                f"group of order {self.order} exceeds the enumeration cap {cap}"
-            )
+        check_cap(self.order, cap, "group")
         return list(_cartesian(*(range(d) for d in self.invariant_factors)))
 
     def evaluate(self, char: Character, x: AbElement, m: int | None = None) -> int:

@@ -299,7 +299,8 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
         level, mode, oracle_cap, fallback=True, evidence=evidence
     )
     if disagreement:
-        raise BoundViolation(disagreement)
+        # prefixed, so it does not repeat the entry's violation word for word
+        raise BoundViolation(f"threshold {threshold}: {disagreement}")
     if not (idx >= level.n > threshold):
         raise BoundViolation(
             f"certificate failed: index {idx} at level {n} does not exceed "

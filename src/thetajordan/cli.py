@@ -107,31 +107,17 @@ def parse_args(argv=None) -> RunConfig:
             f"--oracle-cap must be in 1..{ENUMERATION_CAP} (the enumeration "
             f"cap), got {ns.oracle_cap}"
         )
-    return RunConfig(
-        manifold_class=ns.manifold_class,
-        n_max=ns.n_max,
-        mode=ns.mode,
-        oracle_cap=ns.oracle_cap,
-        output_format=ns.output_format,
-        output_path=ns.output_path,
-        base_group=ns.base_group,
-        seed=ns.seed,
-        no_timestamps=ns.no_timestamps,
-    )
+    # every RunConfig field is the dest of the flag that sets it
+    return RunConfig(*(getattr(ns, f) for f in RunConfig._fields))
+
+
+# the report's name for each RunConfig field, in field order
+_ECHO_KEYS = ("class", "max_n", "mode", "oracle_cap", "format", "out",
+              "base_group", "seed", "no_timestamps")
 
 
 def _config_echo(config: RunConfig) -> dict:
-    return {
-        "class": config.manifold_class,
-        "max_n": config.n_max,
-        "mode": config.mode,
-        "oracle_cap": config.oracle_cap,
-        "format": config.output_format,
-        "out": config.output_path,
-        "base_group": config.base_group,
-        "seed": config.seed,
-        "no_timestamps": config.no_timestamps,
-    }
+    return dict(zip(_ECHO_KEYS, config))
 
 
 def _base_group_report(config: RunConfig):

@@ -29,10 +29,10 @@ from operator import add, mod, mul, neg
 from typing import NamedTuple
 
 from .abelian import (
-    CapExceeded,
     Coords,
     ENUMERATION_CAP,
     FiniteAbelianGroup,
+    check_cap,
     index_tables,
     index_tuple,
     radix_rank,
@@ -78,8 +78,9 @@ class ThetaGroup:
     def check_element(self, g: ThetaElement) -> None:
         if not isinstance(g, ThetaElement):
             raise ValueError(f"{g!r} is not a ThetaElement")
-        # One pass over the digits (a, *k, *l); on any failure the per-part
-        # checks below name what is wrong.
+        # On a cyclic base one pass over the three digits accepts; any other
+        # rank, and any value that pass rejects, takes the per-part checks
+        # below, which name what is wrong.
         a, k, l = g
         if self._cyclic:
             m = self.m
@@ -91,13 +92,6 @@ class ThetaGroup:
                         and isinstance(l0, int)
                         and 0 <= a < m and 0 <= k0 < m and 0 <= l0 < m):
                     return
-        elif (isinstance(k, tuple) and isinstance(l, tuple)
-                and len(k) == len(l) == self.base.rank):
-            for c, d in zip((a, *k, *l), self._radices):
-                if not (isinstance(c, int) and 0 <= c < d):
-                    break
-            else:
-                return
         if not isinstance(a, int):
             raise ValueError(f"central exponent {a!r} is not an integer")
         if not 0 <= a < self.m:
@@ -214,10 +208,7 @@ class ThetaGroup:
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[ThetaElement]:
         """All elements in index order."""
-        if self.order > cap:
-            raise CapExceeded(
-                f"theta group of order {self.order} exceeds the enumeration cap {cap}"
-            )
+        check_cap(self.order, cap, "theta group")
         ks = self.base.elements(cap)
         return [ThetaElement(a, k, l) for a in range(self.m) for k in ks for l in ks]
 
@@ -240,16 +231,12 @@ class ThetaGroup:
         the whole group; for a nontrivial base this is exactly the exponent
         factor {(a, 0, 0)}, of size m.
         """
-        if self.order > cap:
-            raise CapExceeded(
-                f"theta group of order {self.order} exceeds the enumeration cap {cap}"
-            )
         gens = self.generators()
         e = self.identity()
         members = [
             i
-            for i in range(self.order)
-            if all(self.commutator(self.element(i), t) == e for t in gens)
+            for i, g in enumerate(self.elements(cap))
+            if all(self.commutator(g, t) == e for t in gens)
         ]
         return Subgroup(tuple(members))
 
@@ -266,10 +253,7 @@ class ThetaGroup:
         by a*m^2, a slice of it doubled.  So only one row is alive beside the
         table, and every entry is one of n shared int objects.
         """
-        if self.order > cap:
-            raise CapExceeded(
-                f"theta group of order {self.order} exceeds the table cap {cap}"
-            )
+        check_cap(self.order, cap, "theta group")
         m, n = self.m, self.order
         mm = m * m
         add, neg, ev = index_tables(self.base, cap)

@@ -17,7 +17,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .abelian import CapExceeded, ENUMERATION_CAP, _Frozen, index_tuple
+from .abelian import ENUMERATION_CAP, _Frozen, check_cap, index_tuple
 
 DEFAULT_ORACLE_CAP = 512
 
@@ -152,12 +152,6 @@ class Subgroup(_Frozen):
     def __contains__(self, i: int) -> bool:
         return i in self.members
 
-    def mask(self) -> int:
-        m = 0
-        for i in self.members:
-            m |= 1 << i
-        return m
-
     @classmethod
     def from_mask(cls, mask: int) -> "Subgroup":
         return cls(tuple(_mask_bits(mask)))
@@ -259,8 +253,7 @@ def all_subgroups(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> list[Subgr
     that centralizes the current subgroup extends it by cosets; any other
     is adjoined by regenerating.  Results are sorted by (order, members).
     """
-    if G.order > cap:
-        raise CapExceeded(f"order {G.order} exceeds the subgroup-search cap {cap}")
+    check_cap(G.order, cap, "subgroup search")
     mul = G._mul
     cents = G.centralizer_masks()
     triv = 1 << G.identity
@@ -332,10 +325,7 @@ def max_abelian_order(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
     G/Z, relating two cosets when their representatives commute, and its
     order times |Z| is the answer.  The quotient comes from the table alone.
     """
-    if G.order > cap:
-        raise CapExceeded(
-            f"order {G.order} exceeds the oracle cap {cap}; use the structural bound"
-        )
+    check_cap(G.order, cap, "oracle search")
     mul = G._mul
     center = list(_mask_bits(G.center_mask()))
     coset = [-1] * G.order
@@ -369,8 +359,7 @@ def min_abelian_index(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
 def order_sequence(G: ConcreteGroup, cap: int = ENUMERATION_CAP) -> Counter:
     """Multiset {element order: count}; a cheap isomorphism-class fingerprint."""
-    if G.order > cap:
-        raise CapExceeded(f"order {G.order} exceeds the enumeration cap {cap}")
+    check_cap(G.order, cap, "concrete group")
     mul = G._mul
     e = G.identity
     out: Counter = Counter()

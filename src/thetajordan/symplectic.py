@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .abelian import CapExceeded, Coords, ENUMERATION_CAP, FiniteAbelianGroup
+from .abelian import Coords, ENUMERATION_CAP, FiniteAbelianGroup, check_cap
 from .abelian import index_tables, index_tuple, radix_rank, radix_unrank
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, _max_related
 
@@ -77,10 +77,7 @@ class PairingSpace(NamedTuple):
 
     def points(self, cap: int = ENUMERATION_CAP) -> list[Point]:
         """All |K|^2 points, element-major lexicographic; zero comes first."""
-        if self.order > cap:
-            raise CapExceeded(
-                f"pairing space of order {self.order} exceeds the cap {cap}"
-            )
+        check_cap(self.order, cap, "pairing space")
         els = self.base.elements(cap)
         return [(k, l) for k in els for l in els]
 
@@ -98,10 +95,7 @@ class PairingSpace(NamedTuple):
     def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
         """The additive group of the space as an explicit table on indices
         k*m + l, computed from the base's add table."""
-        if self.order > cap:
-            raise CapExceeded(
-                f"pairing space of order {self.order} exceeds the cap {cap}"
-            )
+        check_cap(self.order, cap, "pairing space")
         m = self.m
         add = index_tables(self.base, cap).add
         table = [
@@ -148,11 +142,9 @@ def max_isotropic_order(space: PairingSpace, method: str = "both",
         return structural
     if method not in ("brute", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if space.order > cap:
-        if method == "brute":
-            raise CapExceeded(
-                f"pairing space of order {space.order} exceeds the cap {cap}"
-            )
+    if method == "brute":
+        check_cap(space.order, cap, "pairing space")
+    elif space.order > cap:
         return structural
     m = space.m
     ev = index_tables(space.base, cap).ev

@@ -1,6 +1,8 @@
 import cmath
 import copy
 import pickle
+import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -59,6 +61,35 @@ class TestMakeGroup:
             for i in range(1, len(fs)):
                 assert fs[i] % fs[i - 1] == 0
             assert make_group(list(fs)).invariant_factors == fs
+
+    def test_matches_prime_power_reference(self):
+        # invariant factors from the prime-power components: the largest
+        # power of each prime goes into the last factor, and so on down
+        def reference(factors):
+            powers = {}
+            for f in factors:
+                p = 2
+                while f > 1:
+                    e = 0
+                    while f % p == 0:
+                        f //= p
+                        e += 1
+                    if e:
+                        powers.setdefault(p, []).append(p ** e)
+                    p += 1
+            r = max(map(len, powers.values()), default=0)
+            chain = [1] * r
+            for qs in powers.values():
+                for i, q in enumerate(sorted(qs, reverse=True)):
+                    chain[r - 1 - i] *= q
+            return tuple(chain)
+
+        rng = random.Random(13)
+        lists = [list(t) for n in range(4) for t in product(range(1, 13), repeat=n)]
+        lists += [[rng.randint(1, 400) for _ in range(rng.randint(4, 8))]
+                  for _ in range(2000)]
+        for factors in lists:
+            assert make_group(factors).invariant_factors == reference(factors), factors
 
     def test_order_census_preserved(self):
         # canonicalization must not change the isomorphism type
@@ -174,7 +205,8 @@ class TestEnumerate:
 
     def test_cap(self):
         G = make_group([2] * 13)  # order 8192
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded,
+                           match="^group of order 8192 exceeds the cap 4096$"):
             G.elements()
         assert len(G.elements(cap=8192)) == 8192
 

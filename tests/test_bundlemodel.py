@@ -207,6 +207,10 @@ class TestVerifyLevel:
         with pytest.raises(CapExceeded):
             verify_level(level_data(9), mode="oracle", oracle_cap=512)
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'orakle'"):
+            verify_level(level_data(2), mode="orakle")
+
     def test_timing_suppressed(self):
         entry, _ = verify_level(level_data(2), with_timing=False)
         assert entry.elapsed_s is None
@@ -396,8 +400,13 @@ class TestJordanCertificate:
 
     def test_corruption_raises_bound_violation(self, monkeypatch):
         monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
-        with pytest.raises(BoundViolation):
+        # 'both' sees the disagreement and names the threshold first
+        with pytest.raises(BoundViolation, match="^threshold 1: level 2: oracle"):
             jordan_certificate(DiffeoClass(0), 1)
+        # 'oracle' has nothing to compare with, so the index itself fails
+        with pytest.raises(BoundViolation, match="certificate failed: index 1 "
+                                                 "at level 3"):
+            jordan_certificate(DiffeoClass(1), 1, mode="oracle")
 
 
 def _timed(fn):

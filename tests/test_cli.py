@@ -13,6 +13,7 @@ from thetajordan.cli import (
     EXIT_USAGE,
     EXIT_VIOLATION,
     RunConfig,
+    _config_echo,
     main,
     parse_args,
     run,
@@ -72,6 +73,12 @@ class TestParseArgs:
         assert config.base_group == "Z2xZ2"
         assert config.seed == 7
         assert config.no_timestamps
+        # the report echoes each field under its own key
+        assert _config_echo(config) == {
+            "class": "0", "max_n": 9, "mode": "oracle", "oracle_cap": 1000,
+            "format": "json", "out": "r.json", "base_group": "Z2xZ2",
+            "seed": 7, "no_timestamps": True,
+        }
 
     def test_bad_enum_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -220,6 +227,31 @@ class TestRun:
         assert code == EXIT_VIOLATION
         assert doc["ok"] is False
         assert doc["violations"]
+
+    def test_violations_are_listed_once(self, monkeypatch, capsys):
+        # level 3's disagreement shows up in its entry and in the threshold-1
+        # certificate, which lands on level 3 too; the certificate's line
+        # names its threshold
+        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
+        doc, code = run(parse("verify --class 1 --max-n 3 --no-timestamps"))
+        out = capsys.readouterr().out
+        assert code == EXIT_VIOLATION
+        vio = doc["violations"]
+        assert len(set(vio)) == len(vio)
+        assert [v for v in vio if v.startswith("threshold 1: ")] == [
+            "threshold 1: level 3: oracle max abelian order 27 (index 1) "
+            "disagrees with structural 9 (index 3)"
+        ]
+        block = out.split("VIOLATIONS:\n")[1].split("\n\n")[0]
+        assert block.splitlines() == [f"  {v}" for v in vio]
+        assert out.endswith("result: FAILED\n")
+
+    def test_empty_class_table(self, capsys):
+        doc, code = run(parse("verify --class 0 --max-n 1 --no-timestamps"))
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert doc["reports"][0]["entries"] == []
+        assert "  (no levels in range)\n" in out
 
     def test_main_returns_exit_code(self, capsys):
         assert main(["verify", "--max-n", "2", "--class", "1"]) == EXIT_OK

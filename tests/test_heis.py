@@ -246,7 +246,9 @@ class TestCenterAndOrders:
 
     def test_center_is_exponent_factor(self):
         G = theta([2])
-        assert G.center().members == (0, 4)  # (0,0,0) and (1,0,0)
+        Z = G.center()
+        assert Z.members == (0, 4)  # (0,0,0) and (1,0,0)
+        assert 4 in Z and 1 not in Z
 
     def test_center_matches_exhaustive_definition(self):
         # per-element commuting test against every element, |K| <= 6
@@ -274,10 +276,11 @@ class TestCenterAndOrders:
     def test_cap(self):
         G = theta([16])  # order 4096 fits, 17^3 does not
         assert G.center(cap=4096).order == 16
-        with pytest.raises(CapExceeded):
-            theta([17]).center()
-        with pytest.raises(CapExceeded):
-            theta([17]).elements()
+        too_big = "^theta group of order 4913 exceeds the cap 4096$"
+        for call in (theta([17]).center, theta([17]).elements,
+                     theta([17]).to_concrete):
+            with pytest.raises(CapExceeded, match=too_big):
+                call()
 
 
 class TestRendering:

@@ -59,6 +59,17 @@ class TestConcreteGroup:
         with pytest.raises(ValueError, match="not associative"):
             ConcreteGroup(table, inv_table=inverses)
 
+    @pytest.mark.parametrize("table, inv_table, message", [
+        ([], None, "empty multiplication table"),
+        ([[0, 1], [1]], None, "malformed multiplication table"),
+        ([[0, 1], [1, 0]], [0], "inverse table length does not match"),
+        ([[0, 1], [1, 1]], None, "element 1 has no right inverse"),
+        ([[0, 1], [1, 0]], [0, 0], "inverse table is wrong at element 1"),
+    ])
+    def test_rejects_malformed_tables(self, table, inv_table, message):
+        with pytest.raises(ValueError, match=message):
+            ConcreteGroup(table, inv_table=inv_table)
+
     def test_rejects_negative_inverse_entry(self):
         with pytest.raises(ValueError, match="out of range"):
             ConcreteGroup([[0, 1], [1, 0]], inv_table=[0, -1])
@@ -336,8 +347,13 @@ class TestMaxAbelianOracle:
             assert max_abelian_order(G) >= theta.center().order
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            max_abelian_order(concrete_theta([2]), cap=4)
+        G = concrete_theta([2])
+        for search, what in ((max_abelian_order, "oracle search"),
+                             (all_subgroups, "subgroup search"),
+                             (order_sequence, "concrete group")):
+            with pytest.raises(CapExceeded,
+                               match=f"^{what} of order 8 exceeds the cap 4$"):
+                search(G, cap=4)
 
 
 class TestMinAbelianIndex:

@@ -68,6 +68,7 @@ class TestPairing:
             assert C.order == P.order
             assert C.identity == 0
             for i, p in enumerate(pts):
+                assert C.inv(i) == P.index(P.neg(p))
                 for j, q in enumerate(pts):
                     assert C.mul(i, j) == P.index(P.add(p, q))
 
@@ -159,8 +160,12 @@ class TestMaxIsotropic:
             assert brute == structural == P.base.order
 
     def test_brute_cap(self):
-        with pytest.raises(CapExceeded):
+        too_big = "^pairing space of order 900 exceeds the cap 512$"
+        with pytest.raises(CapExceeded, match=too_big):
             max_isotropic_order(space([30]), method="brute")
+        for build in (space([30]).points, space([30]).to_concrete):
+            with pytest.raises(CapExceeded, match=too_big):
+                build(cap=512)
         # 'both' falls back to the structural constant above the cap
         assert max_isotropic_order(space([30])) == 30
 
