@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import product as _cartesian
 from math import gcd, prod
-from operator import add, mod, neg
+from operator import add, mod, mul, neg
 from typing import NamedTuple
 
 # Elements and characters are both plain coordinate tuples.
@@ -82,7 +82,7 @@ class _Frozen:
 class FiniteAbelianGroup(_Frozen):
     """Canonical invariant-factor form of a finite abelian group."""
 
-    __slots__ = ("invariant_factors", "order", "rank")
+    __slots__ = ("invariant_factors", "order", "rank", "_scales")
     _field = "invariant_factors"
 
     def __init__(self, invariant_factors: Coords = ()):
@@ -99,8 +99,11 @@ class FiniteAbelianGroup(_Frozen):
         object.__setattr__(self, "invariant_factors", fs)
         # Cached shape: slots outside _field, so equality and hashing still
         # see only the invariant factors.
-        object.__setattr__(self, "order", prod(fs))
+        order = prod(fs)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "rank", len(fs))
+        # char(x) = zeta^(sum c_i x_i m/d_i) at the default ambient order m
+        object.__setattr__(self, "_scales", tuple(order // d for d in fs))
 
     def spec_string(self) -> str:
         """Render as group-spec grammar, e.g. 'Z4xZ2' ('Z1' when trivial)."""
@@ -142,22 +145,26 @@ class FiniteAbelianGroup(_Frozen):
 
         m defaults to the group order; every invariant factor must divide m,
         which makes the formula sum(c_i * x_i * (m / d_i)) well defined.
-        The map (char, x) -> Z_m is bilinear.
+        The map (char, x) -> Z_m is bilinear.  This validates char, x and m,
+        then reads _pairing: e/m and _pairing/order are the same fraction.
         """
         self.check_element(char)
         self.check_element(x)
         if m is None:
-            m = self.order
-        elif not isinstance(m, int):
+            return self._pairing(char, x)
+        if not isinstance(m, int):
             raise ValueError(f"ambient order {m!r} is not an integer")
         if m < 1:
             raise ValueError(f"ambient order {m} must be >= 1")
         for d in self.invariant_factors:
             if m % d:
                 raise ValueError(f"factor {d} does not divide ambient order {m}")
-        return sum(
-            c * a * (m // d) for c, a, d in zip(char, x, self.invariant_factors)
-        ) % m
+        return self._pairing(char, x) * m // self.order
+
+    def _pairing(self, char: Character, x: AbElement) -> int:
+        """evaluate(char, x) at the default ambient order, unchecked: the
+        caller has validated char and x."""
+        return sum(map(mul, map(mul, char, x), self._scales)) % self.order
 
 
 class IndexTables(NamedTuple):

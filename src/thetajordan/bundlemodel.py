@@ -66,10 +66,15 @@ class DiffeoClass(_Frozen):
         return _CLASS_DESCRIPTIONS[self.parity]
 
 
-def _check_positive(value: int, what: str) -> None:
-    """ValueError naming `what` unless value is an int (bools count) >= 1."""
+def _check_int(value: int, what: str) -> None:
+    """ValueError naming `what` unless value is an int (bools count)."""
     if not isinstance(value, int):
         raise ValueError(f"{what} {value!r} is not an integer")
+
+
+def _check_positive(value: int, what: str) -> None:
+    """ValueError naming `what` unless value is an int (bools count) >= 1."""
+    _check_int(value, what)
     if value < 1:
         raise ValueError(f"{what} {value} must be >= 1")
 
@@ -256,6 +261,7 @@ def verify_level(level: LevelData, mode: str = "both",
                  oracle_cap: int = DEFAULT_ORACLE_CAP, seed: int = 0,
                  with_timing: bool = True, evidence: dict | None = None):
     """Verify one level; returns (ReportEntry, violation strings)."""
+    _check_int(seed, "seed")
     start = perf_counter()
     rng = random.Random(seed * 1_000_003 + level.n)
     violations = _sanity_sweep(level.theta, rng, level.label)
@@ -325,6 +331,7 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
     BoundViolation diagnostic; callers that need to emit the failing report
     first pass strict=False and handle the violation list themselves.
     """
+    _check_int(seed, "seed")
     entries = []
     violations: list[str] = []
     evidence: dict = {}  # certificates reuse the entries' oracle searches

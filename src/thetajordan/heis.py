@@ -13,9 +13,12 @@ hangs on.
 
 On a cyclic base (every level of the family is one) the law runs in a
 scalar form: k = (k0,), l = (l0,) and <l', k> = l0' * k0 mod m in plain int
-arithmetic.  Every other rank runs the generic coordinate-wise form, which
-is the reference the scalar form must equal.  The commutator bridge takes
-its closed form from the base's validated evaluation pairing, not from the
+arithmetic, and random_element draws each digit with getrandbits exactly
+as randrange(m) does, so a seeded sample is the same elements.  Every other
+rank runs the generic coordinate-wise form, which is the reference the
+scalar form must equal.  The commutator bridge takes its closed form from
+the base's evaluation pairing (FiniteAbelianGroup._pairing, read unchecked
+on operands already validated as parts of theta elements), not from the
 law's twist, so one broken twist cannot break the law and its check alike.
 
 All values are immutable and all operations are pure functions, so shared
@@ -62,6 +65,8 @@ class ThetaGroup:
         self._scales = tuple(m // d for d in fs)  # <l, k> = sum l_i k_i m/d_i
         self._radices = (m, *fs, *fs)  # index() digits: a, then k, then l
         self._cyclic = len(fs) == 1  # scalar law: <l, k> = l0 * k0 mod m
+        self._width = m.bit_length()  # getrandbits width of randrange(m)
+        self._zero = base.zero()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ThetaGroup) and other.base == self.base
@@ -140,16 +145,17 @@ class ThetaGroup:
         (<h.l, g.k> - <g.l, h.k>, 0, 0).
 
         The caller has validated g, h and the products gh and hg; this
-        validates (hg)^-1.  The closed form comes from the validated
-        evaluation pairing of the base, not from the law's own twist, so a
-        broken twist cannot break both.  A mismatch raises RuntimeError.
+        validates (hg)^-1.  The closed form comes from the evaluation
+        pairing of the base, read unchecked on the parts of g and h, not
+        from the law's own twist, so a broken twist cannot break both.  A
+        mismatch raises RuntimeError.
         """
         hg_inv = self._inv(hg)
         self.check_element(hg_inv)
         direct = self._mul(gh, hg_inv)
-        ev, m = self.base.evaluate, self.m
-        twist = (ev(h.l, g.k, m) - ev(g.l, h.k, m)) % m
-        closed = ThetaElement(twist, self.base.zero(), self.base.zero())
+        pairing, zero = self.base._pairing, self._zero
+        twist = (pairing(h.l, g.k) - pairing(g.l, h.k)) % self.m
+        closed = _new(ThetaElement, (twist, zero, zero))
         if direct != closed:
             raise RuntimeError(
                 f"commutator mismatch: definitional {direct} vs closed form {closed}"
@@ -285,11 +291,27 @@ class ThetaGroup:
         )
 
     def random_element(self, rng) -> ThetaElement:
-        """One randrange per digit: a, then k, then l."""
-        draw = rng.randrange
+        """Digits a, then k, then l, each as rng.randrange(d) draws it on a
+        random.Random.
+
+        On a cyclic base each digit is getrandbits(w), w = m.bit_length(),
+        redrawn while it is >= m: randrange's own rejection loop without its
+        argument handling, so the stream is the same.  Other ranks call
+        randrange, which stays the reference.
+        """
         if self._cyclic:
-            m = self.m
-            return _new(ThetaElement, (draw(m), (draw(m),), (draw(m),)))
+            m, w, bits = self.m, self._width, rng.getrandbits
+            a = bits(w)
+            while a >= m:
+                a = bits(w)
+            k = bits(w)
+            while k >= m:
+                k = bits(w)
+            l = bits(w)
+            while l >= m:
+                l = bits(w)
+            return _new(ThetaElement, (a, (k,), (l,)))
+        draw = rng.randrange
         return ThetaElement(
             draw(self.m), tuple(map(draw, self._fs)), tuple(map(draw, self._fs))
         )

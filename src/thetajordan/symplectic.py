@@ -72,8 +72,8 @@ class PairingSpace(NamedTuple):
         self.check_point(q)
         k, l = p
         k2, l2 = q
-        m = self.m
-        return (self.base.evaluate(l2, k, m) - self.base.evaluate(l, k2, m)) % m
+        pairing = self.base._pairing  # at ambient order m; p, q are checked
+        return (pairing(l2, k) - pairing(l, k2)) % self.m
 
     def points(self, cap: int = ENUMERATION_CAP) -> list[Point]:
         """All |K|^2 points, element-major lexicographic; zero comes first."""
@@ -112,10 +112,12 @@ def pairing_space(base: FiniteAbelianGroup) -> PairingSpace:
 def is_isotropic(space: PairingSpace, points) -> bool:
     """Whether the pairing vanishes identically on a subgroup of the space.
 
-    The input must be closed under addition (a subgroup); otherwise
-    ValueError is raised.
+    Every point must pass check_point, and the input must be closed under
+    addition (a subgroup); otherwise ValueError is raised.
     """
     pts = list(points)
+    for p in pts:
+        space.check_point(p)
     pset = set(pts)
     if space.zero() not in pset:
         raise ValueError("not a subgroup: the zero point is missing")

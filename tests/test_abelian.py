@@ -270,6 +270,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="factor 2 does not divide ambient order True"):
             G.evaluate((1,), (1,), True)
 
+    def test_unchecked_pairing_is_evaluate(self):
+        # evaluate validates and then reads _pairing; at another ambient
+        # order it rescales, and must still equal the direct formula
+        for fs in divisor_chains(12):
+            G = FiniteAbelianGroup(fs)
+            els = G.elements()
+            exponent = fs[-1] if fs else 1
+            for l in els:
+                for k in els:
+                    assert G._pairing(l, k) == G.evaluate(l, k)
+                    for m in (exponent, 2 * G.order):
+                        assert G.evaluate(l, k, m) == sum(
+                            c * a * (m // d) for c, a, d in zip(l, k, fs)
+                        ) % m
+
 
 class TestNondegeneracy:
     def test_trivial(self):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from thetajordan.abelian import make_group
+from thetajordan.abelian import FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
     BoundViolation,
@@ -211,6 +211,23 @@ class TestVerifyLevel:
         with pytest.raises(ValueError, match="unknown mode 'orakle'"):
             verify_level(level_data(2), mode="orakle")
 
+    @pytest.mark.parametrize("seed", ["a", None, 1.5, 2.0])
+    def test_non_integer_seed_is_named(self, seed):
+        msg = re.escape(f"seed {seed!r} is not an integer")
+        with pytest.raises(ValueError, match=msg):
+            verify_level(level_data(2), seed=seed)
+        with pytest.raises(ValueError, match=msg):
+            build_class_report(DiffeoClass(0), 2, seed=seed)
+
+    def test_bool_seed_counts_as_int(self):
+        assert verify_level(level_data(3), seed=True, with_timing=False) == (
+            verify_level(level_data(3), seed=1, with_timing=False)
+        )
+        report, violations = build_class_report(
+            DiffeoClass(1), 3, seed=False, strict=False, with_timing=False
+        )
+        assert violations == []
+
     def test_timing_suppressed(self):
         entry, _ = verify_level(level_data(2), with_timing=False)
         assert entry.elapsed_s is None
@@ -333,6 +350,16 @@ class TestSanitySweep:
         monkeypatch.setattr(ThetaGroup, "_twist", twist)
         code = main(["verify", "--base-group", spec, "--mode", mode,
                      "--format", "json", "--no-timestamps"])
+        out, _ = capsys.readouterr()
+        assert code == EXIT_VIOLATION
+        assert "commutator mismatch" in out
+
+    @pytest.mark.parametrize("args", [["--base-group", "Z4xZ2"], ["--max-n", "3"]])
+    def test_bridge_reads_base_pairing(self, monkeypatch, capsys, args):
+        # the closed form is the base's pairing: a pairing broken there,
+        # with the law intact, shows as a commutator mismatch
+        monkeypatch.setattr(FiniteAbelianGroup, "_pairing", lambda self, l, k: 0)
+        code = main(["verify", *args, "--format", "json", "--no-timestamps"])
         out, _ = capsys.readouterr()
         assert code == EXIT_VIOLATION
         assert "commutator mismatch" in out

@@ -288,16 +288,16 @@ LAWS = {
 }
 
 
-def counting_checks(monkeypatch):
-    """Patch ThetaGroup.check_element to count its calls; returns the count."""
+def counting_checks(monkeypatch, cls=ThetaGroup):
+    """Patch cls.check_element to count its calls; returns the count."""
     calls = [0]
-    check = ThetaGroup.check_element
+    check = cls.check_element
 
     def counted(self, g):
         calls[0] += 1
         return check(self, g)
 
-    monkeypatch.setattr(ThetaGroup, "check_element", counted)
+    monkeypatch.setattr(cls, "check_element", counted)
     return calls
 
 
@@ -326,6 +326,15 @@ class TestSweepAgainstReference:
             calls[0] = 0
             ref_sweep(theta, random.Random(3), "level 5")
             assert calls[0] == 18 * SWEEP_ROUNDS
+
+    def test_cyclic_round_makes_no_base_check(self, monkeypatch):
+        # the one-pass theta check accepts cyclic values whole, and the
+        # bridge reads the base pairing unchecked (level 1 has the trivial,
+        # rank-0 base, so it is not cyclic and takes the per-part checks)
+        calls = counting_checks(monkeypatch, FiniteAbelianGroup)
+        for n in (2, 5, 12, 1000):
+            assert _sanity_sweep(level_data(n).theta, random.Random(3), "x") == []
+        assert calls[0] == 0
 
     def test_commutator_and_element_order_check_each_value_once(self, monkeypatch):
         calls = counting_checks(monkeypatch)

@@ -13,6 +13,7 @@ from thetajordan.symplectic import (
 )
 
 from helpers import divisor_chains
+from test_law_reference import counting_checks
 
 
 def space(factors):
@@ -98,10 +99,22 @@ class TestPairing:
         for bad in bad_points:
             for call in (lambda: P.index(bad), lambda: P.neg(bad),
                          lambda: P.add(bad, good), lambda: P.add(good, bad),
-                         lambda: P.pairing(bad, good), lambda: P.pairing(good, bad)):
+                         lambda: P.pairing(bad, good), lambda: P.pairing(good, bad),
+                         lambda: is_isotropic(P, [P.zero(), bad])):
                 with pytest.raises(ValueError, match=re.escape(f"point {bad!r} ")):
                     call()
         assert P.index(good) == 1
+
+    def test_pairing_checks_each_point_once(self, monkeypatch):
+        calls = counting_checks(monkeypatch, FiniteAbelianGroup)
+        for factors in ([3], [4, 2]):
+            P = space(factors)
+            p, q = P.points()[1], P.points()[-1]
+            (k, l), (k2, l2) = p, q
+            want = (P.base.evaluate(l2, k) - P.base.evaluate(l, k2)) % P.m
+            calls[0] = 0
+            assert P.pairing(p, q) == want
+            assert calls[0] == 4  # two parts of each point, once each
 
 
 class TestBridgeToCommutator:
