@@ -28,8 +28,19 @@ class CapExceeded(RuntimeError):
     """An operation would enumerate more elements than its cap allows."""
 
 
+def check_int(value: int, what: str, least: int | None = None) -> int:
+    """value as an int (bools count, and come back as 0 or 1); ValueError
+    naming `what` for a non-integer or a value below `least`."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{what} {value} must be >= {least}")
+    return int(value)
+
+
 def check_cap(order: int, cap: int, what: str) -> None:
     """CapExceeded naming `what` when its order is above the cap."""
+    cap = check_int(cap, "cap")
     if order > cap:
         raise CapExceeded(f"{what} of order {order} exceeds the cap {cap}")
 
@@ -86,11 +97,7 @@ class FiniteAbelianGroup(_Frozen):
     _field = "invariant_factors"
 
     def __init__(self, invariant_factors: Coords = ()):
-        fs = tuple(invariant_factors)
-        for d in fs:
-            if not isinstance(d, int):
-                raise ValueError(f"invariant factor {d!r} is not an integer")
-        fs = tuple(map(int, fs))
+        fs = tuple(check_int(d, "invariant factor") for d in invariant_factors)
         for i, d in enumerate(fs):
             if d < 2:
                 raise ValueError(f"invariant factor {d} is < 2")
@@ -121,8 +128,8 @@ class FiniteAbelianGroup(_Frozen):
                 f"element {x!r} does not have {self.rank} coordinates"
             )
         for c, d in zip(x, self.invariant_factors):
-            if not isinstance(c, int):
-                raise ValueError(f"coordinate {c!r} is not an integer")
+            if not isinstance(c, int):  # inline: base arithmetic checks every operand
+                check_int(c, "coordinate")
             if not 0 <= c < d:
                 raise ValueError(f"coordinate {c} out of range for Z_{d}")
 
@@ -152,10 +159,7 @@ class FiniteAbelianGroup(_Frozen):
         self.check_element(x)
         if m is None:
             return self._pairing(char, x)
-        if not isinstance(m, int):
-            raise ValueError(f"ambient order {m!r} is not an integer")
-        if m < 1:
-            raise ValueError(f"ambient order {m} must be >= 1")
+        check_int(m, "ambient order", 1)
         for d in self.invariant_factors:
             if m % d:
                 raise ValueError(f"factor {d} does not divide ambient order {m}")
@@ -215,8 +219,8 @@ def index_tuple(values, n: int | None, what: str = "index") -> tuple[int, ...]:
     """
     t = tuple(values)
     if not all(map(int.__instancecheck__, t)):
-        bad = next(v for v in t if not isinstance(v, int))
-        raise ValueError(f"{what} {bad!r} is not an integer")
+        for v in t:
+            check_int(v, what)
     if n is not None and t and (min(t) < 0 or max(t) >= n):
         bad = next(v for v in t if not 0 <= v < n)
         raise ValueError(f"{what} {bad} out of range 0..{n - 1}")

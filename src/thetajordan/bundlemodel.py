@@ -19,7 +19,8 @@ import random
 from time import perf_counter
 from typing import Callable, NamedTuple
 
-from .abelian import CapExceeded, Coords, FiniteAbelianGroup, _Frozen, make_group
+from .abelian import CapExceeded, Coords, FiniteAbelianGroup, _Frozen
+from .abelian import check_int, make_group
 from .heis import ThetaGroup, theta_group
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, max_abelian_order
 from .symplectic import structural_min_abelian_index
@@ -59,24 +60,11 @@ class DiffeoClass(_Frozen):
     def __init__(self, parity: int):
         if not isinstance(parity, int) or parity not in (0, 1):
             raise ValueError(f"parity {parity!r} is not the integer 0 or 1")
-        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "parity", int(parity))
 
     @property
     def description(self) -> str:
         return _CLASS_DESCRIPTIONS[self.parity]
-
-
-def _check_int(value: int, what: str) -> None:
-    """ValueError naming `what` unless value is an int (bools count)."""
-    if not isinstance(value, int):
-        raise ValueError(f"{what} {value!r} is not an integer")
-
-
-def _check_positive(value: int, what: str) -> None:
-    """ValueError naming `what` unless value is an int (bools count) >= 1."""
-    _check_int(value, what)
-    if value < 1:
-        raise ValueError(f"{what} {value} must be >= 1")
 
 
 def diffeo_class(n: int) -> DiffeoClass:
@@ -88,7 +76,7 @@ def diffeo_class(n: int) -> DiffeoClass:
 
 def torsion_group(k: int) -> FiniteAbelianGroup:
     """The k-torsion subgroup of the 2-torus: Z_k + Z_k, order k^2."""
-    _check_positive(k, "torsion level")
+    k = check_int(k, "torsion level", 1)
     return make_group([k, k])
 
 
@@ -98,8 +86,8 @@ def torsion_inclusion(d: int, k: int) -> Callable[[Coords], Coords]:
     Scales each coordinate by k/d; the image is exactly the d-torsion part
     of the larger group.
     """
-    _check_positive(d, "torsion level")
-    _check_positive(k, "torsion level")
+    d = check_int(d, "torsion level", 1)
+    k = check_int(k, "torsion level", 1)
     if k % d:
         raise ValueError(f"{d} does not divide {k}")
     scale = k // d
@@ -131,14 +119,14 @@ class LevelData(NamedTuple):
 
 def level_data(n: int) -> LevelData:
     """Level n: cyclic base of order n, theta group of order n^3."""
-    _check_positive(n, "level")
+    n = check_int(n, "level", 1)
     base = make_group([n])
     return LevelData(n=n, torsion_order=n * n, base=base, theta=theta_group(base))
 
 
 def family_for_class(cls: DiffeoClass, n_max: int) -> list[LevelData]:
     """All levels 1..n_max of the given parity, ascending."""
-    _check_positive(n_max, "n_max")
+    n_max = check_int(n_max, "n_max", 1)
     return [level_data(n) for n in range(1, n_max + 1) if n % 2 == cls.parity]
 
 
@@ -177,12 +165,12 @@ def _oracle_table(theta: ThetaGroup, cap: int) -> ConcreteGroup:
 
 
 def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
-                    fallback: bool = False, evidence: dict | None = None):
+                    evidence: dict | None = None):
     """(max_abelian_order, min_index, method, disagreement-or-None).
 
-    mode 'oracle' runs the exhaustive subgroup search (CapExceeded above the
-    cap unless fallback is allowed), 'structural' uses the closed form, and
-    'both' runs both where the oracle fits and records any disagreement.
+    mode 'oracle' runs the exhaustive subgroup search, 'structural' uses the
+    closed form, and 'both' runs both and records any disagreement; above
+    the oracle cap either mode falls back to the closed form.
     Calls that share an `evidence` dict run each level's oracle search once;
     it keeps these tuples, never a table, and never changes a result.
     """
@@ -190,14 +178,8 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
         raise ValueError(f"unknown mode {mode!r}")
     theta = level.theta
     structural_idx = structural_min_abelian_index(theta.base)
-    structural_max = theta.base.order ** 2
-    can_oracle = theta.order <= oracle_cap
-    if mode == "oracle" and not can_oracle and not fallback:
-        raise CapExceeded(
-            f"{level.label}: theta group order {theta.order} exceeds the "
-            f"oracle cap {oracle_cap}; use mode 'structural'"
-        )
-    if mode == "structural" or not can_oracle:
+    structural_max = theta.order // structural_idx
+    if mode == "structural" or theta.order > check_int(oracle_cap, "oracle cap"):
         return structural_max, structural_idx, "structural", None
     evidence = {} if evidence is None else evidence
     key = (level, mode)
@@ -260,8 +242,18 @@ def _sanity_sweep(theta: ThetaGroup, rng: random.Random, label: str) -> list[str
 def verify_level(level: LevelData, mode: str = "both",
                  oracle_cap: int = DEFAULT_ORACLE_CAP, seed: int = 0,
                  with_timing: bool = True, evidence: dict | None = None):
-    """Verify one level; returns (ReportEntry, violation strings)."""
-    _check_int(seed, "seed")
+    """Verify one level; returns (ReportEntry, violation strings).
+
+    In mode 'oracle' a level above the oracle cap raises CapExceeded before
+    the sweep runs.
+    """
+    check_int(seed, "seed")
+    order = level.theta.order
+    if mode == "oracle" and order > check_int(oracle_cap, "oracle cap"):
+        raise CapExceeded(
+            f"{level.label}: theta group order {order} exceeds the "
+            f"oracle cap {oracle_cap}; use mode 'structural'"
+        )
     start = perf_counter()
     rng = random.Random(seed * 1_000_003 + level.n)
     violations = _sanity_sweep(level.theta, rng, level.label)
@@ -296,14 +288,12 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
     the closed form otherwise, so every threshold is answerable.  Raises
     BoundViolation if the evidence fails to beat the threshold.
     """
-    _check_positive(threshold, "threshold")
+    threshold = check_int(threshold, "threshold", 1)
     n = threshold + 1
     if n % 2 != cls.parity:
         n += 1
     level = level_data(n)
-    _, idx, method, disagreement = _index_evidence(
-        level, mode, oracle_cap, fallback=True, evidence=evidence
-    )
+    _, idx, method, disagreement = _index_evidence(level, mode, oracle_cap, evidence)
     if disagreement:
         # prefixed, so it does not repeat the entry's violation word for word
         raise BoundViolation(f"threshold {threshold}: {disagreement}")
@@ -331,7 +321,7 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
     BoundViolation diagnostic; callers that need to emit the failing report
     first pass strict=False and handle the violation list themselves.
     """
-    _check_int(seed, "seed")
+    check_int(seed, "seed")
     entries = []
     violations: list[str] = []
     evidence: dict = {}  # certificates reuse the entries' oracle searches

@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 from .abelian import CapExceeded, ENUMERATION_CAP, parse_group_spec
 from .bundlemodel import (
-    CORRUPT_ENV_VAR,
     DiffeoClass,
     LevelData,
     VerificationReport,

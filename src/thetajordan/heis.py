@@ -36,6 +36,7 @@ from .abelian import (
     ENUMERATION_CAP,
     FiniteAbelianGroup,
     check_cap,
+    check_int,
     index_tables,
     index_tuple,
     radix_rank,
@@ -97,8 +98,7 @@ class ThetaGroup:
                         and isinstance(l0, int)
                         and 0 <= a < m and 0 <= k0 < m and 0 <= l0 < m):
                     return
-        if not isinstance(a, int):
-            raise ValueError(f"central exponent {a!r} is not an integer")
+        check_int(a, "central exponent")
         if not 0 <= a < self.m:
             raise ValueError(f"central exponent {a} out of range mod {self.m}")
         self.base.check_element(k)

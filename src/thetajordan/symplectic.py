@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .abelian import Coords, ENUMERATION_CAP, FiniteAbelianGroup, check_cap
-from .abelian import index_tables, index_tuple, radix_rank, radix_unrank
+from .abelian import check_int, index_tables, index_tuple, radix_rank, radix_unrank
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, _max_related
 
 Point = tuple[Coords, Coords]
@@ -146,7 +146,7 @@ def max_isotropic_order(space: PairingSpace, method: str = "both",
         raise ValueError(f"unknown method {method!r}")
     if method == "brute":
         check_cap(space.order, cap, "pairing space")
-    elif space.order > cap:
+    elif space.order > check_int(cap, "cap"):
         return structural
     m = space.m
     ev = index_tables(space.base, cap).ev

@@ -10,6 +10,7 @@ import pytest
 from thetajordan.abelian import (
     CapExceeded,
     FiniteAbelianGroup,
+    check_int,
     is_pairing_nondegenerate,
     make_group,
     parse_group_spec,
@@ -142,6 +143,28 @@ class TestMakeGroup:
             FiniteAbelianGroup((3, 2))
         with pytest.raises(ValueError):
             FiniteAbelianGroup((1,))
+
+
+class TestCheckInt:
+    def test_ints_come_back_as_ints(self):
+        assert check_int(7, "level") == 7
+        assert check_int(0, "cap") == 0
+        for flag, value in ((True, 1), (False, 0)):
+            got = check_int(flag, "level")
+            assert got == value and type(got) is int
+
+    def test_non_integers_are_named(self):
+        for bad in (1.5, "3", None):
+            with pytest.raises(ValueError, match=f"^level {bad!r} is not an integer$"):
+                check_int(bad, "level", 1)
+
+    def test_least(self):
+        assert check_int(1, "level", 1) == 1
+        with pytest.raises(ValueError, match="^level 0 must be >= 1$"):
+            check_int(0, "level", 1)
+        with pytest.raises(ValueError, match="^order False must be >= 1$"):
+            check_int(False, "order", 1)
+        assert check_int(-5, "offset") == -5  # no least, no lower bound
 
 
 class TestArithmetic:

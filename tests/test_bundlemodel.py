@@ -12,9 +12,13 @@ from thetajordan.bundlemodel import (
     _sanity_sweep,
     build_class_report,
     diffeo_class,
+    document,
     family_for_class,
     jordan_certificate,
     level_data,
+    render_csv,
+    render_json,
+    render_table,
     torsion_group,
     torsion_inclusion,
     verify_level,
@@ -124,6 +128,8 @@ class TestLevelArguments:
 
     def test_bools_count_as_ints(self):
         assert level_data(True).n == 1
+        assert type(level_data(True).n) is int
+        assert level_data(True).label == "level 1"
         assert [lv.n for lv in family_for_class(DiffeoClass(1), True)] == [1]
         assert torsion_group(True).order == 1
         assert torsion_inclusion(True, 2)(()) == (0, 0)
@@ -155,6 +161,7 @@ class TestDiffeoClass:
 
     def test_bool_parity_accepted(self):
         assert DiffeoClass(True) == DiffeoClass(1)
+        assert type(DiffeoClass(True).parity) is int
 
     def test_equal_only_to_its_own_class(self):
         assert DiffeoClass(1) != (1,)
@@ -200,6 +207,16 @@ class TestVerifyLevel:
     def test_both_falls_back_above_cap(self):
         entry, _ = verify_level(level_data(9), mode="both", oracle_cap=512)
         assert entry.method == "structural"  # 9^3 = 729 > 512
+        # cap 0 admits no table, so every level is answered structurally
+        entry, _ = verify_level(level_data(2), oracle_cap=0)
+        assert entry.method == "structural"
+
+    @pytest.mark.parametrize("cap", [None, "512", 512.0])
+    def test_oracle_cap_is_named(self, cap):
+        msg = re.escape(f"oracle cap {cap!r} is not an integer")
+        for mode in ("both", "oracle"):
+            with pytest.raises(ValueError, match=msg):
+                verify_level(level_data(2), mode, oracle_cap=cap)
 
     def test_oracle_cap_error(self):
         from thetajordan.abelian import CapExceeded
@@ -424,6 +441,7 @@ class TestJordanCertificate:
                 jordan_certificate(DiffeoClass(0), bad)
         # ints count, bools included
         assert jordan_certificate(DiffeoClass(1), True).n == 3
+        assert type(jordan_certificate(DiffeoClass(1), True).threshold) is int
 
     def test_corruption_raises_bound_violation(self, monkeypatch):
         monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
@@ -452,6 +470,16 @@ class TestClassReport:
         assert all(e.n % 2 == 0 for e in report.entries)
         assert [e.min_abelian_index for e in report.entries] == [2, 4, 6]
         assert [c.threshold for c in report.threshold_certificates] == [1, 5]
+
+    def test_bool_inputs_render_as_ints(self):
+        def rendered(cls, threshold):
+            report, _ = build_class_report(
+                cls, 3, thresholds=(threshold,), with_timing=False
+            )
+            doc = document([report], {}, [])
+            return [render(doc) for render in (render_json, render_csv, render_table)]
+
+        assert rendered(DiffeoClass(True), True) == rendered(DiffeoClass(1), 1)
 
     def test_entries_sorted_and_bounded(self):
         report, _ = build_class_report(

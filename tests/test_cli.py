@@ -6,8 +6,8 @@ import time
 
 import pytest
 
+from thetajordan.bundlemodel import CORRUPT_ENV_VAR
 from thetajordan.cli import (
-    CORRUPT_ENV_VAR,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,

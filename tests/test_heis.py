@@ -281,6 +281,9 @@ class TestCenterAndOrders:
                      theta([17]).to_concrete):
             with pytest.raises(CapExceeded, match=too_big):
                 call()
+        for call in (theta([2]).center, theta([2]).elements, theta([2]).to_concrete):
+            with pytest.raises(ValueError, match="^cap None is not an integer$"):
+                call(cap=None)
 
 
 class TestRendering:

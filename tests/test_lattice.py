@@ -354,6 +354,8 @@ class TestMaxAbelianOracle:
             with pytest.raises(CapExceeded,
                                match=f"^{what} of order 8 exceeds the cap 4$"):
                 search(G, cap=4)
+            with pytest.raises(ValueError, match="^cap 2.5 is not an integer$"):
+                search(G, cap=2.5)
 
 
 class TestMinAbelianIndex:

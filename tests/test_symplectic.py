@@ -181,6 +181,11 @@ class TestMaxIsotropic:
                 build(cap=512)
         # 'both' falls back to the structural constant above the cap
         assert max_isotropic_order(space([30])) == 30
+        # and reads its cap through the integer rule before comparing it
+        for method in ("both", "brute"):
+            for cap in (None, 512.0):
+                with pytest.raises(ValueError, match=f"^cap {cap!r} is not an integer$"):
+                    max_isotropic_order(space([2]), method, cap)
 
     def test_agreement_all_types_up_to_8(self):
         for fs in divisor_chains(8):
