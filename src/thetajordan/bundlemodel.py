@@ -164,6 +164,11 @@ def _oracle_table(theta: ThetaGroup, cap: int) -> ConcreteGroup:
     return theta.to_concrete(cap)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("oracle", "structural", "both"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
                     evidence: dict | None = None):
     """(max_abelian_order, min_index, method, disagreement-or-None).
@@ -174,8 +179,7 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     Calls that share an `evidence` dict run each level's oracle search once;
     it keeps these tuples, never a table, and never changes a result.
     """
-    if mode not in ("oracle", "structural", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     theta = level.theta
     structural_idx = structural_min_abelian_index(theta.base)
     structural_max = theta.order // structural_idx
@@ -202,39 +206,39 @@ def _sanity_sweep(theta: ThetaGroup, rng: random.Random, label: str) -> list[str
 
     Works at any level because it never enumerates the group: associativity
     on random triples, inverse law, and the commutator closed-form bridge.
-    Each round validates the eight values the unchecked law consumes (g, h,
-    f, gh, hf, g^-1, hg, (hg)^-1) once each, in the order the validated
-    public methods would meet them.  A product or inverse that leaves the
-    group is a violation too, and it ends the sweep.
+    It runs the unchecked law on element indices, each drawn as one
+    rng.randrange(order).  Each round checks the eight values the law
+    consumes (g, h, f, gh, hf, g^-1, hg, (hg)^-1) once each, in the order
+    the validated public methods would meet them; messages render elements
+    as ThetaElements.  A product or inverse that leaves the group is a
+    violation too, and it ends the sweep.
     """
     out = []
-    e = theta.identity()
-    check, mul, inv = theta.check_element, theta._mul, theta._inv
+    n, draw = theta.order, rng.randrange
+    check, mul, inv, parts = theta._check_index, theta._mul, theta._inv, theta._parts
     for _ in range(SWEEP_ROUNDS):
-        g = theta.random_element(rng)
-        h = theta.random_element(rng)
-        f = theta.random_element(rng)
+        g = draw(n)
+        h = draw(n)
+        f = draw(n)
         try:
             check(g)
             check(h)
             check(f)
-            gh = mul(g, h)
-            check(gh)
-            hf = mul(h, f)
-            check(hf)
+            gh = check(mul(g, h))
+            hf = check(mul(h, f))
             if mul(gh, f) != mul(g, hf):
-                out.append(f"associativity failed at {g}, {h}, {f}")
-            g_inv = inv(g)
-            check(g_inv)
-            if mul(g, g_inv) != e:
-                out.append(f"inverse law failed at {g}")
-            hg = mul(h, g)
-            check(hg)
+                out.append(f"associativity failed at {parts(g)}, {parts(h)}, "
+                           f"{parts(f)}")
+            g_inv = check(inv(g))
+            if mul(g, g_inv) != 0:  # the identity is index 0
+                out.append(f"inverse law failed at {parts(g)}")
+            hg = check(mul(h, g))
             theta._bridge(g, h, gh, hg)
         except RuntimeError as exc:
             out.append(str(exc))
         except ValueError as exc:
-            out.append(f"{label}: group law left the group at {g}, {h}, {f}: {exc}")
+            out.append(f"{label}: group law left the group at {parts(g)}, "
+                       f"{parts(h)}, {parts(f)}: {exc}")
             break
     return out
 
@@ -244,10 +248,11 @@ def verify_level(level: LevelData, mode: str = "both",
                  with_timing: bool = True, evidence: dict | None = None):
     """Verify one level; returns (ReportEntry, violation strings).
 
-    In mode 'oracle' a level above the oracle cap raises CapExceeded before
-    the sweep runs.
+    An unknown mode raises ValueError, and in mode 'oracle' a level above
+    the oracle cap raises CapExceeded, before the sweep runs.
     """
     check_int(seed, "seed")
+    _check_mode(mode)
     order = level.theta.order
     if mode == "oracle" and order > check_int(oracle_cap, "oracle cap"):
         raise CapExceeded(

@@ -11,15 +11,17 @@ character l' at k.  The center is the exponent factor {(a, 0, 0)} and every
 commutator lands in it, which is what the whole abelian-index analysis
 hangs on.
 
-On a cyclic base (every level of the family is one) the law runs in a
-scalar form: k = (k0,), l = (l0,) and <l', k> = l0' * k0 mod m in plain int
-arithmetic, and random_element draws each digit with getrandbits exactly
-as randrange(m) does, so a seeded sample is the same elements.  Every other
-rank runs the generic coordinate-wise form, which is the reference the
+The law runs on element indices: the mixed-radix index a*m^2 + rank(k)*m
++ rank(l) that index() defines and the tables use, so a value check is one
+int test and one range compare.  ThetaElement appears only at the public
+boundary: arguments, results and messages.  On a cyclic base (every level
+of the family is one) the law decodes the index with divmod and runs in a
+scalar form, <l', k> = l0' * k0 mod m; every other rank decodes with
+radix_unrank and works coordinate by coordinate, which is the reference the
 scalar form must equal.  The commutator bridge takes its closed form from
 the base's evaluation pairing (FiniteAbelianGroup._pairing, read unchecked
-on operands already validated as parts of theta elements), not from the
-law's twist, so one broken twist cannot break the law and its check alike.
+on the parts of validated indices), not from the law's twist, so one
+broken twist cannot break the law and its check alike.
 
 All values are immutable and all operations are pure functions, so shared
 group descriptions are safe to use concurrently.
@@ -51,10 +53,6 @@ class ThetaElement(NamedTuple):
     l: Coords
 
 
-# builds a ThetaElement from one tuple without the NamedTuple __new__ frame
-_new = tuple.__new__
-
-
 class ThetaGroup:
     """The group of order m^3 on triples (a, k, l), m = |K|."""
 
@@ -66,8 +64,7 @@ class ThetaGroup:
         self._scales = tuple(m // d for d in fs)  # <l, k> = sum l_i k_i m/d_i
         self._radices = (m, *fs, *fs)  # index() digits: a, then k, then l
         self._cyclic = len(fs) == 1  # scalar law: <l, k> = l0 * k0 mod m
-        self._width = m.bit_length()  # getrandbits width of randrange(m)
-        self._zero = base.zero()
+        self._mm = m * m  # place value of a in the index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ThetaGroup) and other.base == self.base
@@ -84,63 +81,72 @@ class ThetaGroup:
     def check_element(self, g: ThetaElement) -> None:
         if not isinstance(g, ThetaElement):
             raise ValueError(f"{g!r} is not a ThetaElement")
-        # On a cyclic base one pass over the three digits accepts; any other
-        # rank, and any value that pass rejects, takes the per-part checks
-        # below, which name what is wrong.
         a, k, l = g
-        if self._cyclic:
-            m = self.m
-            if (isinstance(k, tuple) and isinstance(l, tuple)
-                    and len(k) == 1 and len(l) == 1):
-                k0 = k[0]
-                l0 = l[0]
-                if (isinstance(a, int) and isinstance(k0, int)
-                        and isinstance(l0, int)
-                        and 0 <= a < m and 0 <= k0 < m and 0 <= l0 < m):
-                    return
         check_int(a, "central exponent")
         if not 0 <= a < self.m:
             raise ValueError(f"central exponent {a} out of range mod {self.m}")
         self.base.check_element(k)
         self.base.check_element(l)
 
+    def _check_index(self, x: int) -> int:
+        """x, checked as an element index: an int in 0..order-1, else
+        ValueError naming x, by index_tuple's rule.  The int test keeps a
+        law that returns floats out: 2.0 == 2 passes any range compare."""
+        if not (isinstance(x, int) and 0 <= x < self.order):
+            index_tuple((x,), self.order)
+        return x
+
+    def _parts(self, i: int) -> ThetaElement:
+        """The element of index i, unchecked: the caller has validated i.
+        An index past the order keeps its excess in a, as the law left it."""
+        a, kl = divmod(i, self._mm)
+        if self._cyclic:
+            k, l = divmod(kl, self.m)
+            return ThetaElement(a, (k,), (l,))
+        coords = radix_unrank(kl, self._radices[1:])
+        r = self.base.rank
+        return ThetaElement(a, coords[:r], coords[r:])
+
     def _twist(self, l: Coords, k: Coords) -> int:
         """<l, k>, the exponent of the character l at k, mod m."""
         return sum(map(mul, map(mul, l, k), self._scales)) % self.m
 
-    # The law itself is unchecked: the public methods and the sanity sweep
-    # validate each value once, before the law consumes it.
+    # The law itself is unchecked, on indices: the public methods and the
+    # sanity sweep validate each value once, before the law consumes it.
 
-    def _mul(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
-        m = self.m
+    def _mul(self, i: int, j: int) -> int:
+        m, mm = self.m, self._mm
         if self._cyclic:
-            ga, (gk,), (gl,) = g
-            ha, (hk,), (hl,) = h
-            return _new(ThetaElement, (
-                (ga + ha + hl * gk) % m, ((gk + hk) % m,), ((gl + hl) % m,)
-            ))
+            ga, gkl = divmod(i, mm)
+            gk, gl = divmod(gkl, m)
+            ha, hkl = divmod(j, mm)
+            hk, hl = divmod(hkl, m)
+            return ((ga + ha + hl * gk) % m * mm + (gk + hk) % m * m
+                    + (gl + hl) % m)
+        g, h = self._parts(i), self._parts(j)
         fs = self._fs
-        return ThetaElement(
+        return radix_rank((
             (g.a + h.a + self._twist(h.l, g.k)) % m,
-            tuple(map(mod, map(add, g.k, h.k), fs)),
-            tuple(map(mod, map(add, g.l, h.l), fs)),
-        )
+            *map(mod, map(add, g.k, h.k), fs),
+            *map(mod, map(add, g.l, h.l), fs),
+        ), self._radices)
 
-    def _inv(self, g: ThetaElement) -> ThetaElement:
+    def _inv(self, i: int) -> int:
         """Closed-form inverse (-a + <l, k>, -k, -l)."""
-        m = self.m
+        m, mm = self.m, self._mm
         if self._cyclic:
-            a, (k,), (l,) = g
-            return _new(ThetaElement, ((l * k - a) % m, (-k % m,), (-l % m,)))
+            a, kl = divmod(i, mm)
+            k, l = divmod(kl, m)
+            return (l * k - a) % m * mm + -k % m * m + -l % m
+        g = self._parts(i)
         fs = self._fs
-        return ThetaElement(
+        return radix_rank((
             (self._twist(g.l, g.k) - g.a) % m,
-            tuple(map(mod, map(neg, g.k), fs)),
-            tuple(map(mod, map(neg, g.l), fs)),
-        )
+            *map(mod, map(neg, g.k), fs),
+            *map(mod, map(neg, g.l), fs),
+        ), self._radices)
 
-    def _bridge(self, g: ThetaElement, h: ThetaElement, gh: ThetaElement,
-                hg: ThetaElement) -> ThetaElement:
+    def _bridge(self, g: int, h: int, gh: int, hg: int) -> int:
         """g h g^-1 h^-1 as gh (hg)^-1, checked against the closed form
         (<h.l, g.k> - <g.l, h.k>, 0, 0).
 
@@ -150,27 +156,22 @@ class ThetaGroup:
         from the law's own twist, so a broken twist cannot break both.  A
         mismatch raises RuntimeError.
         """
-        hg_inv = self._inv(hg)
-        self.check_element(hg_inv)
-        direct = self._mul(gh, hg_inv)
-        pairing, zero = self.base._pairing, self._zero
-        twist = (pairing(h.l, g.k) - pairing(g.l, h.k)) % self.m
-        closed = _new(ThetaElement, (twist, zero, zero))
+        direct = self._mul(gh, self._check_index(self._inv(hg)))
+        G, H, pairing = self._parts(g), self._parts(h), self.base._pairing
+        closed = (pairing(H.l, G.k) - pairing(G.l, H.k)) % self.m * self._mm
         if direct != closed:
             raise RuntimeError(
-                f"commutator mismatch: definitional {direct} vs closed form {closed}"
+                f"commutator mismatch: definitional {self._parts(direct)} "
+                f"vs closed form {self._parts(closed)}"
             )
         return direct
 
     def mul(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
-        self.check_element(g)
-        self.check_element(h)
-        return self._mul(g, h)
+        return self._parts(self._mul(self.index(g), self.index(h)))
 
     def inv(self, g: ThetaElement) -> ThetaElement:
         """Closed-form inverse (-a + <l, k>, -k, -l)."""
-        self.check_element(g)
-        return self._inv(g)
+        return self._parts(self._inv(self.index(g)))
 
     def commutator(self, g: ThetaElement, h: ThetaElement) -> ThetaElement:
         """g h g^-1 h^-1, computed two ways that must agree.
@@ -179,24 +180,19 @@ class ThetaGroup:
         mismatch means the group law is broken and raises RuntimeError.  The
         result is always central.
         """
-        check = self.check_element
-        check(g)
-        check(h)
-        gh = self._mul(g, h)
-        hg = self._mul(h, g)
-        check(hg)  # hg before gh: the order the law consumes them
-        check(gh)
-        return self._bridge(g, h, gh, hg)
+        i, j = self.index(g), self.index(h)
+        gh = self._mul(i, j)
+        hg = self._mul(j, i)
+        self._check_index(hg)  # hg before gh: the order the law consumes them
+        self._check_index(gh)
+        return self._parts(self._bridge(i, j, gh, hg))
 
     def element_order(self, g: ThetaElement) -> int:
         """Least t >= 1 with g^t = identity (costs t multiplications)."""
-        self.check_element(g)
-        e = self.identity()
-        x = g
+        x = i = self.index(g)
         t = 1
-        while x != e:
-            x = self._mul(x, g)
-            self.check_element(x)
+        while x:  # the identity is index 0
+            x = self._check_index(self._mul(x, i))
             t += 1
         return t
 
@@ -208,9 +204,7 @@ class ThetaGroup:
     def element(self, idx: int) -> ThetaElement:
         """Inverse of index()."""
         index_tuple((idx,), self.order)
-        a, *coords = radix_unrank(idx, self._radices)
-        r = self.base.rank
-        return ThetaElement(a, tuple(coords[:r]), tuple(coords[r:]))
+        return self._parts(idx)
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[ThetaElement]:
         """All elements in index order."""
@@ -291,26 +285,7 @@ class ThetaGroup:
         )
 
     def random_element(self, rng) -> ThetaElement:
-        """Digits a, then k, then l, each as rng.randrange(d) draws it on a
-        random.Random.
-
-        On a cyclic base each digit is getrandbits(w), w = m.bit_length(),
-        redrawn while it is >= m: randrange's own rejection loop without its
-        argument handling, so the stream is the same.  Other ranks call
-        randrange, which stays the reference.
-        """
-        if self._cyclic:
-            m, w, bits = self.m, self._width, rng.getrandbits
-            a = bits(w)
-            while a >= m:
-                a = bits(w)
-            k = bits(w)
-            while k >= m:
-                k = bits(w)
-            l = bits(w)
-            while l >= m:
-                l = bits(w)
-            return _new(ThetaElement, (a, (k,), (l,)))
+        """Digits a, then k, then l, each drawn by rng.randrange(d)."""
         draw = rng.randrange
         return ThetaElement(
             draw(self.m), tuple(map(draw, self._fs)), tuple(map(draw, self._fs))

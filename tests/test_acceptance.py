@@ -130,9 +130,16 @@ def test_criterion_5_torsion_model():
             small = torsion_group(d)
             els = small.elements()
             images = [embed(x) for x in els]
+            # f(x + y) = f(x) + f(y) for every x and every generator y, with
+            # f(0) = 0, is the homomorphism law over all pairs: each w is a
+            # sum of generators s_1 + ... + s_r, and by induction on r,
+            # f(x + w) = f(x) + f(s_1) + ... + f(s_r) = f(x) + f(w)
+            assert embed(small.zero()) == big.zero()
+            units = [tuple(int(i == j) for j in range(small.rank))
+                     for i in range(small.rank)]
             for x, ex in zip(els, images):
-                for y, ey in zip(els, images):
-                    assert embed(small.add(x, y)) == big.add(ex, ey)
+                for y in units:
+                    assert embed(small.add(x, y)) == big.add(ex, embed(y))
             assert len(set(images)) == small.order  # injective
             embeddings += 1
     _report(

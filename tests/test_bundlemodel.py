@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from thetajordan.abelian import FiniteAbelianGroup, make_group
+from thetajordan import bundlemodel
+from thetajordan.abelian import FiniteAbelianGroup, make_group, radix_rank
 from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
     BoundViolation,
@@ -228,6 +229,14 @@ class TestVerifyLevel:
         with pytest.raises(ValueError, match="unknown mode 'orakle'"):
             verify_level(level_data(2), mode="orakle")
 
+    def test_unknown_mode_before_the_sweep(self, monkeypatch):
+        swept = []
+        monkeypatch.setattr(bundlemodel, "_sanity_sweep",
+                            lambda *args: swept.append(args) or [])
+        with pytest.raises(ValueError, match="unknown mode 'orakle'"):
+            verify_level(level_data(5), mode="orakle")
+        assert swept == []
+
     @pytest.mark.parametrize("seed", ["a", None, 1.5, 2.0])
     def test_non_integer_seed_is_named(self, seed):
         msg = re.escape(f"seed {seed!r} is not an integer")
@@ -258,8 +267,34 @@ class TestVerifyLevel:
 
 # Broken laws, patched into the one unchecked law (ThetaGroup._mul and
 # _inv) that the validated public methods and the sanity sweep both run.
-_correct_mul = ThetaGroup._mul
-_correct_inv = ThetaGroup._inv
+# The law runs on element indices; each broken law below is written on
+# ThetaElements and patched in through on_indices.
+_int_mul = ThetaGroup._mul
+_int_inv = ThetaGroup._inv
+
+
+def _rank(self, g):
+    """Index of g by the unchecked radix_rank: a digit the law left out of
+    range stays out, so a leaky law gives an index past the order."""
+    return radix_rank((g.a, *g.k, *g.l), self._radices)
+
+
+def on_indices(law):
+    """law on ThetaElements as a law on indices: operands decoded by
+    _parts, the result encoded by _rank.  Both are exact on the group, so
+    the law's products are the same on every pair."""
+    def on_ints(self, *indices):
+        return _rank(self, law(self, *map(self._parts, indices)))
+
+    return on_ints
+
+
+def _correct_mul(self, g, h):
+    return self._parts(_int_mul(self, _rank(self, g), _rank(self, h)))
+
+
+def _correct_inv(self, g):
+    return self._parts(_int_inv(self, _rank(self, g)))
 
 
 def _leaky_mul(self, g, h):
@@ -330,33 +365,34 @@ class TestSanitySweep:
                 assert self.sweep(theta, seed) == []
 
     def test_broken_associativity(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "_mul", _cubic_mul)
-        monkeypatch.setattr(ThetaGroup, "_inv", _cubic_inv)
+        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_cubic_mul))
+        monkeypatch.setattr(ThetaGroup, "_inv", on_indices(_cubic_inv))
         violations = self.sweep(level_data(5).theta)
         assert "associativity" in self.kinds(violations)
         assert "inverse law" not in self.kinds(violations)
 
     def test_broken_inverse_law(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "_inv", _off_by_one_inv)
+        monkeypatch.setattr(ThetaGroup, "_inv", on_indices(_off_by_one_inv))
         violations = self.sweep(level_data(5).theta)
         assert "inverse law" in self.kinds(violations)
         assert "associativity" not in self.kinds(violations)
 
     def test_broken_commutator_bridge(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "_mul", _symmetric_mul)
-        monkeypatch.setattr(ThetaGroup, "_inv", _symmetric_inv)
+        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_symmetric_mul))
+        monkeypatch.setattr(ThetaGroup, "_inv", on_indices(_symmetric_inv))
         violations = self.sweep(level_data(5).theta)
         assert violations
         assert self.kinds(violations) == {"commutator mismatch"}
 
     def test_law_leaving_the_group_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "_mul", _leaky_mul)
+        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_leaky_mul))
         entry, violations = verify_level(level_data(3), mode="structural")
         assert entry.min_abelian_index == 3
         left = [v for v in violations if "left the group" in v]
         assert left == violations[-1:]  # the sweep stops there
         assert left[0].startswith("level 3: group law left the group at ")
-        assert left[0].endswith("out of range mod 3")
+        # the law runs on indices, so the check names the leaked index
+        assert re.search(r": index \d+ out of range 0\.\.26$", left[0])
 
     @pytest.mark.parametrize("twist", [_zero_twist, _first_coordinate_twist])
     @pytest.mark.parametrize("spec", ["Z4xZ2", "Z2xZ2xZ2"])
@@ -382,7 +418,7 @@ class TestSanitySweep:
         assert "commutator mismatch" in out
 
     def test_law_leaving_the_group_exits_1_with_report(self, monkeypatch, capsys):
-        monkeypatch.setattr(ThetaGroup, "_mul", _leaky_mul)
+        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_leaky_mul))
         code = main(["verify", "--class", "1", "--max-n", "3",
                      "--mode", "structural", "--format", "json"])
         out, err = capsys.readouterr()
@@ -390,6 +426,38 @@ class TestSanitySweep:
         assert err == ""
         assert '"ok": false' in out
         assert "level 3: group law left the group at" in out
+
+    def test_float_law_leaves_the_group(self, monkeypatch):
+        # 2.0 == 2 passes every range compare, so only the check's int test
+        # stops a law that returns floats; at level 1 every product is 0.0
+        monkeypatch.setattr(ThetaGroup, "_mul",
+                            lambda self, i, j: float(_int_mul(self, i, j)))
+        for theta in self.THETAS:
+            violations = self.sweep(theta)
+            assert len(violations) == 1
+            assert "group law left the group" in violations[0]
+            assert violations[0].endswith(".0 is not an integer")
+
+    @pytest.mark.parametrize("digit", ["k", "l"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 97, 1000])
+    def test_unreduced_digit_is_caught(self, monkeypatch, digit, n):
+        # the scalar law with one digit's % m dropped: its carry runs into
+        # the digit above, so products change or leave the group
+        def carrying_mul(self, i, j):
+            m, mm = self.m, self._mm
+            ga, gkl = divmod(i, mm)
+            gk, gl = divmod(gkl, m)
+            ha, hkl = divmod(j, mm)
+            hk, hl = divmod(hkl, m)
+            k, l = gk + hk, gl + hl
+            if digit == "k":
+                l %= m
+            else:
+                k %= m
+            return (ga + ha + hl * gk) % m * mm + k * m + l
+
+        monkeypatch.setattr(ThetaGroup, "_mul", carrying_mul)
+        assert self.sweep(level_data(n).theta)
 
 
 class TestJordanCertificate:

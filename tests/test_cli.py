@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import subprocess
@@ -311,3 +312,22 @@ class TestBinary:
         assert first.returncode == second.returncode == EXIT_OK
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["ok"] is True
+
+    # sha256 of the JSON report's stdout bytes, so a run is compared with a
+    # fixed product, not only with another run of the same code.  A change
+    # that alters the output on purpose updates these digests and says so.
+    PINNED = {
+        "": "9d4ebca0529b7bcfddd7fe9297ee1f5b31e27176e03fbcddbc3d05603c7d170d",
+        "--max-n 8":
+            "73728d75f22f831c0972b1582fa1d215751026dd6a60dbb4d4ac21e7d231f88c",
+        "--mode structural --max-n 1000":
+            "168dfc42d63c6fa1feaa12626e3af0f4faf58ba97b0600d233d416d3a8010172",
+        "--base-group Z2xZ2xZ2":
+            "3300fcec7e5c058bc7bb8a23e3d236c5cce850f06c977f3e008c40ba7ae53571",
+    }
+
+    @pytest.mark.parametrize("args", PINNED)
+    def test_pinned_product_bytes(self, args):
+        done = run_cli(["verify", *args.split(), "--format", "json", "--no-timestamps"])
+        assert done.returncode == EXIT_OK, done.stderr
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == self.PINNED[args]

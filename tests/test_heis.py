@@ -1,6 +1,7 @@
 import cmath
 import random
 from collections import Counter
+from itertools import repeat
 
 import pytest
 
@@ -317,17 +318,28 @@ class TestRendering:
 
 class TestConcrete:
     def test_tables_match_element_law(self):
-        # every base with |K| <= 8, so every theta order up to 512
+        # every base with |K| <= 8, so every theta order up to 512.  Table
+        # and law share the element index, so every row and the whole
+        # inverse table are compared with the int law: every cell, as when
+        # each cell went through ThetaElements, and the table's group check
+        # then proves the law associative at each of these orders.  The
+        # public mul and inv, which convert at the boundary, are compared
+        # on a seeded sample of cells.
+        rng = random.Random(512)
         for factors in divisor_chains(8):
             G = theta_group(FiniteAbelianGroup(factors))
             C = G.to_concrete()
-            els = G.elements()
-            assert C.order == G.order
+            n = G.order
+            assert C.order == n
             assert C.identity == 0
-            for i, g in enumerate(els):
+            assert list(C._inv) == list(map(G._inv, range(n)))
+            for i, row in enumerate(C._mul):
+                assert list(row) == list(map(G._mul, repeat(i, n), range(n)))
+            for _ in range(200):
+                i, j = rng.randrange(n), rng.randrange(n)
+                g, h = G.element(i), G.element(j)
+                assert C.mul(i, j) == G.index(G.mul(g, h))
                 assert C.inv(i) == G.index(G.inv(g))
-                for j, h in enumerate(els):
-                    assert C.mul(i, j) == G.index(G.mul(g, h))
 
     def test_sampled_cells_at_order_4096(self):
         # the exhaustive comparison above stops at order 512

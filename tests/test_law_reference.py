@@ -1,10 +1,10 @@
-"""The one-pass element checks, the precomputed theta law and the sanity
-sweep against the straightforward references they replaced.
+"""The element checks, the theta law on element indices and the sanity
+sweep against straightforward references.
 
 The reference functions below are the plain per-part checks, the
-coordinate-by-coordinate law, and the sweep composed of the validated
-public methods: every accepted input must give the same result, and every
-rejected one the same ValueError message.
+coordinate-by-coordinate law on ThetaElements, and the sweep composed of
+the validated public methods: every accepted input must give the same
+result, and every rejected one the same ValueError message.
 """
 
 import random
@@ -246,13 +246,14 @@ def ref_commutator(G, g, h):
 
 def ref_sweep(theta, rng, label):
     """The sanity sweep composed of the validated public mul and inv, which
-    re-check every operand, so each round makes 18 checks."""
+    re-check every operand, so each round makes 18 checks.  It draws each
+    element as the sweep does, as one index rng.randrange(order)."""
     out = []
     e = theta.identity()
     for _ in range(SWEEP_ROUNDS):
-        g = theta.random_element(rng)
-        h = theta.random_element(rng)
-        f = theta.random_element(rng)
+        g = theta.element(rng.randrange(theta.order))
+        h = theta.element(rng.randrange(theta.order))
+        f = theta.element(rng.randrange(theta.order))
         try:
             if theta.mul(theta.mul(g, h), f) != theta.mul(g, theta.mul(h, f)):
                 out.append(f"associativity failed at {g}, {h}, {f}")
@@ -271,33 +272,53 @@ def sweep_outcome(sweep, theta, seed):
     """The sweep's violation list, or the exception that escaped it (the
     cubic law indexes k[0], which the trivial base does not have)."""
     try:
-        return "ok", sweep(theta, random.Random(seed), "level 5")
+        return "ok", list(map(leak_cut, sweep(theta, random.Random(seed), "level 5")))
     except Exception as exc:
         return type(exc).__name__, str(exc)
 
 
+def leak_cut(violation):
+    """The violation, with a 'left the group' entry's check message cut to
+    'out of range'.  Both sweeps stop in the same round at the same three
+    elements, but the sweep's int check names the leaked index, and the
+    reference's element check names the leaked digit."""
+    if "left the group" not in violation:
+        return violation
+    head, _, message = violation.rpartition(": ")
+    assert "out of range" in message
+    return f"{head}: out of range"
+
+
+on_indices = test_bundlemodel.on_indices
+
 # name -> the unchecked law methods that law replaces
 LAWS = {
     "correct": {},
-    "cubic": {"_mul": test_bundlemodel._cubic_mul,
-              "_inv": test_bundlemodel._cubic_inv},
-    "off-by-one inverse": {"_inv": test_bundlemodel._off_by_one_inv},
-    "symmetric": {"_mul": test_bundlemodel._symmetric_mul,
-                  "_inv": test_bundlemodel._symmetric_inv},
-    "leaky": {"_mul": test_bundlemodel._leaky_mul},
+    "cubic": {"_mul": on_indices(test_bundlemodel._cubic_mul),
+              "_inv": on_indices(test_bundlemodel._cubic_inv)},
+    "off-by-one inverse": {"_inv": on_indices(test_bundlemodel._off_by_one_inv)},
+    "symmetric": {"_mul": on_indices(test_bundlemodel._symmetric_mul),
+                  "_inv": on_indices(test_bundlemodel._symmetric_inv)},
+    "leaky": {"_mul": on_indices(test_bundlemodel._leaky_mul)},
 }
 
 
-def counting_checks(monkeypatch, cls=ThetaGroup):
-    """Patch cls.check_element to count its calls; returns the count."""
+def counting_checks(monkeypatch, cls=ThetaGroup,
+                    names=("check_element", "_check_index")):
+    """Patch the named value checks of cls to count their calls; returns
+    the count.  On ThetaGroup, check_element checks the ThetaElements the
+    public methods take, and _check_index the indices the law returns."""
     calls = [0]
-    check = cls.check_element
+    for name in names:
+        check = getattr(cls, name, None)
+        if check is None:
+            continue
 
-    def counted(self, g):
-        calls[0] += 1
-        return check(self, g)
+        def counted(self, g, check=check):
+            calls[0] += 1
+            return check(self, g)
 
-    monkeypatch.setattr(cls, "check_element", counted)
+        monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -318,14 +339,17 @@ class TestSweepAgainstReference:
         assert (violations == 0) == (law == "correct")
 
     def test_eight_checks_per_round(self, monkeypatch):
-        calls = counting_checks(monkeypatch)
+        # the sweep makes eight int checks and no element check per round;
+        # the reference makes 18 element checks through the public methods
+        ints = counting_checks(monkeypatch, names=("_check_index",))
+        elements = counting_checks(monkeypatch, names=("check_element",))
         for theta in self.THETAS:
-            calls[0] = 0
+            ints[0] = elements[0] = 0
             assert _sanity_sweep(theta, random.Random(3), "level 5") == []
-            assert calls[0] == 8 * SWEEP_ROUNDS
-            calls[0] = 0
+            assert (ints[0], elements[0]) == (8 * SWEEP_ROUNDS, 0)
+            ints[0] = 0
             ref_sweep(theta, random.Random(3), "level 5")
-            assert calls[0] == 18 * SWEEP_ROUNDS
+            assert (ints[0], elements[0]) == (0, 18 * SWEEP_ROUNDS)
 
     def test_cyclic_round_makes_no_base_check(self, monkeypatch):
         # the one-pass theta check accepts cyclic values whole, and the
@@ -344,10 +368,10 @@ class TestSweepAgainstReference:
         assert G.commutator(g, h) == ref_commutator(G, g, h)
         calls[0] = 0
         G.commutator(g, h)
-        assert calls[0] == 5  # g, h, gh, hg, (hg)^-1
+        assert calls[0] == 5  # g, h as elements; gh, hg, (hg)^-1 as indices
         calls[0] = 0
         assert G.element_order(g) == 6
-        assert calls[0] == 6  # g, then g^2 .. g^6
+        assert calls[0] == 6  # g as an element, then g^2 .. g^6 as indices
 
     def test_one_law(self, monkeypatch):
         # a law patched into the unchecked law is the law the public
@@ -355,16 +379,20 @@ class TestSweepAgainstReference:
         G = level_data(5).theta
         g = ThetaElement(1, (2,), (3,))
         h = ThetaElement(4, (1,), (4,))
-        monkeypatch.setattr(ThetaGroup, "_mul", test_bundlemodel._cubic_mul)
+        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(test_bundlemodel._cubic_mul))
         assert G.mul(g, h) == test_bundlemodel._cubic_mul(G, g, h)
         assert G.mul(g, h) != ref_mul(G, g, h)
-        monkeypatch.setattr(ThetaGroup, "_inv", test_bundlemodel._off_by_one_inv)
+        monkeypatch.setattr(ThetaGroup, "_inv",
+                            on_indices(test_bundlemodel._off_by_one_inv))
         assert G.inv(g) == test_bundlemodel._off_by_one_inv(G, g)
         assert G.inv(g) != ref_inv(G, g)
-        monkeypatch.setattr(ThetaGroup, "_mul", test_bundlemodel._leaky_mul)
-        with pytest.raises(ValueError, match="out of range mod 5"):
+        # the powers are indices, so the check names the leaked index
+        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(test_bundlemodel._leaky_mul))
+        with pytest.raises(ValueError, match=r"^index \d+ out of range 0\.\.124$"):
             G.element_order(ThetaElement(4, (4,), (4,)))
-        monkeypatch.setattr(ThetaGroup, "_mul", test_bundlemodel._symmetric_mul)
-        monkeypatch.setattr(ThetaGroup, "_inv", test_bundlemodel._symmetric_inv)
+        monkeypatch.setattr(ThetaGroup, "_mul",
+                            on_indices(test_bundlemodel._symmetric_mul))
+        monkeypatch.setattr(ThetaGroup, "_inv",
+                            on_indices(test_bundlemodel._symmetric_inv))
         with pytest.raises(RuntimeError, match="commutator mismatch"):
             G.commutator(g, ThetaElement(4, (1,), (1,)))  # closed form (4, 0, 0)
