@@ -15,13 +15,14 @@ The law runs on element indices: the mixed-radix index a*m^2 + rank(k)*m
 + rank(l) that index() defines and the tables use, so a value check is one
 int test and one range compare.  ThetaElement appears only at the public
 boundary: arguments, results and messages.  On a cyclic base (every level
-of the family is one) the law decodes the index with divmod and runs in a
-scalar form, <l', k> = l0' * k0 mod m; every other rank decodes with
-radix_unrank and works coordinate by coordinate, which is the reference the
-scalar form must equal.  The commutator bridge takes its closed form from
-the base's evaluation pairing (FiniteAbelianGroup._pairing, read unchecked
-on the parts of validated indices), not from the law's twist, so one
-broken twist cannot break the law and its check alike.
+of the family is one) the law runs in a scalar form on // and % of the
+indices, <l', k> = l0' * k0 mod m; every other rank decodes the digits with
+_kl (radix_unrank underneath) and works coordinate by coordinate, which is
+the reference the scalar form must equal.  The commutator bridge takes its
+closed form from the base's evaluation pairing (FiniteAbelianGroup._pairing,
+read unchecked on the digits _kl decodes from validated indices), not from
+the law's twist, so one broken twist cannot break the law and its check
+alike.
 
 All values are immutable and all operations are pure functions, so shared
 group descriptions are safe to use concurrently.
@@ -96,16 +97,20 @@ class ThetaGroup:
             index_tuple((x,), self.order)
         return x
 
+    def _kl(self, i: int) -> tuple[Coords, Coords]:
+        """The base coordinates (k, l) of index i, unchecked: the caller has
+        validated i.  The one digit decoder of the law and the bridge."""
+        m = self.m
+        if self._cyclic:
+            return (i // m % m,), (i % m,)
+        coords = radix_unrank(i % self._mm, self._radices[1:])
+        r = self.base.rank
+        return coords[:r], coords[r:]
+
     def _parts(self, i: int) -> ThetaElement:
         """The element of index i, unchecked: the caller has validated i.
         An index past the order keeps its excess in a, as the law left it."""
-        a, kl = divmod(i, self._mm)
-        if self._cyclic:
-            k, l = divmod(kl, self.m)
-            return ThetaElement(a, (k,), (l,))
-        coords = radix_unrank(kl, self._radices[1:])
-        r = self.base.rank
-        return ThetaElement(a, coords[:r], coords[r:])
+        return ThetaElement(i // self._mm, *self._kl(i))
 
     def _twist(self, l: Coords, k: Coords) -> int:
         """<l, k>, the exponent of the character l at k, mod m."""
@@ -115,35 +120,34 @@ class ThetaGroup:
     # sanity sweep validate each value once, before the law consumes it.
 
     def _mul(self, i: int, j: int) -> int:
+        """The product's index.  On a cyclic base a scalar form on operators:
+        gk and hl are the k digit of i and the l digit of j, and each sum
+        reduces the digits it needs with // and %."""
         m, mm = self.m, self._mm
         if self._cyclic:
-            ga, gkl = divmod(i, mm)
-            gk, gl = divmod(gkl, m)
-            ha, hkl = divmod(j, mm)
-            hk, hl = divmod(hkl, m)
-            return ((ga + ha + hl * gk) % m * mm + (gk + hk) % m * m
-                    + (gl + hl) % m)
-        g, h = self._parts(i), self._parts(j)
+            gk, hl = i // m % m, j % m
+            return ((i // mm + j // mm + hl * gk) % m * mm
+                    + (gk + j // m) % m * m + (i + hl) % m)
+        (gk, gl), (hk, hl) = self._kl(i), self._kl(j)
         fs = self._fs
         return radix_rank((
-            (g.a + h.a + self._twist(h.l, g.k)) % m,
-            *map(mod, map(add, g.k, h.k), fs),
-            *map(mod, map(add, g.l, h.l), fs),
+            (i // mm + j // mm + self._twist(hl, gk)) % m,
+            *map(mod, map(add, gk, hk), fs),
+            *map(mod, map(add, gl, hl), fs),
         ), self._radices)
 
     def _inv(self, i: int) -> int:
         """Closed-form inverse (-a + <l, k>, -k, -l)."""
         m, mm = self.m, self._mm
         if self._cyclic:
-            a, kl = divmod(i, mm)
-            k, l = divmod(kl, m)
-            return (l * k - a) % m * mm + -k % m * m + -l % m
-        g = self._parts(i)
+            k, l = i // m % m, i % m
+            return (l * k - i // mm) % m * mm + -k % m * m + -l % m
+        k, l = self._kl(i)
         fs = self._fs
         return radix_rank((
-            (self._twist(g.l, g.k) - g.a) % m,
-            *map(mod, map(neg, g.k), fs),
-            *map(mod, map(neg, g.l), fs),
+            (self._twist(l, k) - i // mm) % m,
+            *map(mod, map(neg, k), fs),
+            *map(mod, map(neg, l), fs),
         ), self._radices)
 
     def _bridge(self, g: int, h: int, gh: int, hg: int) -> int:
@@ -152,13 +156,14 @@ class ThetaGroup:
 
         The caller has validated g, h and the products gh and hg; this
         validates (hg)^-1.  The closed form comes from the evaluation
-        pairing of the base, read unchecked on the parts of g and h, not
-        from the law's own twist, so a broken twist cannot break both.  A
-        mismatch raises RuntimeError.
+        pairing of the base, read unchecked on the digits _kl decodes from
+        g and h, not from the law's own twist, so a broken twist cannot
+        break both.  A mismatch raises RuntimeError.
         """
         direct = self._mul(gh, self._check_index(self._inv(hg)))
-        G, H, pairing = self._parts(g), self._parts(h), self.base._pairing
-        closed = (pairing(H.l, G.k) - pairing(G.l, H.k)) % self.m * self._mm
+        (gk, gl), (hk, hl) = self._kl(g), self._kl(h)
+        pairing = self.base._pairing
+        closed = (pairing(hl, gk) - pairing(gl, hk)) % self.m * self._mm
         if direct != closed:
             raise RuntimeError(
                 f"commutator mismatch: definitional {self._parts(direct)} "

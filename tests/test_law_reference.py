@@ -195,6 +195,17 @@ class TestAgainstReference:
             assert G.inv(g) == ref_inv(G, g) == generic.inv(g)
             assert G.commutator(g, h) == ref_commutator(G, g, h)
             assert type(G.mul(g, h)) is type(G.inv(g)) is ThetaElement
+        # the scalar form carries exactly at digit boundaries, which random
+        # pairs at m = 97, 256 and 1000 rarely hit: every pair of them, on
+        # the unchecked law, against the generic form and the reference
+        m, n = G.m, G.order
+        edges = sorted({0, 1, m - 1, m, m * m - 1, m * m, n - m, n - 1})
+        for i in edges:
+            g = G.element(i)
+            assert G._inv(i) == generic._inv(i) == G.index(ref_inv(G, g))
+            for j in edges:
+                want = G.index(ref_mul(G, g, G.element(j)))
+                assert G._mul(i, j) == generic._mul(i, j) == want
 
     def test_generated_tuples(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -305,8 +316,8 @@ LAWS = {
 
 def counting_checks(monkeypatch, cls=ThetaGroup,
                     names=("check_element", "_check_index")):
-    """Patch the named value checks of cls to count their calls; returns
-    the count.  On ThetaGroup, check_element checks the ThetaElements the
+    """Patch the named methods of cls to count their calls; returns the
+    count.  On ThetaGroup, check_element checks the ThetaElements the
     public methods take, and _check_index the indices the law returns."""
     calls = [0]
     for name in names:
@@ -314,9 +325,9 @@ def counting_checks(monkeypatch, cls=ThetaGroup,
         if check is None:
             continue
 
-        def counted(self, g, check=check):
+        def counted(self, *args, check=check):
             calls[0] += 1
-            return check(self, g)
+            return check(self, *args)
 
         monkeypatch.setattr(cls, name, counted)
     return calls
@@ -351,10 +362,24 @@ class TestSweepAgainstReference:
             ref_sweep(theta, random.Random(3), "level 5")
             assert (ints[0], elements[0]) == (0, 18 * SWEEP_ROUNDS)
 
+    def test_law_calls_per_round(self, monkeypatch):
+        # the law work of a round: g h, h f, (g h) f, g (h f), g g^-1, h g
+        # and the bridge's gh (hg)^-1 multiply; g^-1 and (hg)^-1 invert; the
+        # closed form reads the base pairing twice.  A cheaper round must
+        # come from cheaper calls, not fewer of them
+        muls = counting_checks(monkeypatch, names=("_mul",))
+        invs = counting_checks(monkeypatch, names=("_inv",))
+        pairings = counting_checks(monkeypatch, FiniteAbelianGroup, ("_pairing",))
+        for theta in self.THETAS:
+            muls[0] = invs[0] = pairings[0] = 0
+            assert _sanity_sweep(theta, random.Random(3), "level 5") == []
+            assert (muls[0], invs[0], pairings[0]) == (
+                7 * SWEEP_ROUNDS, 2 * SWEEP_ROUNDS, 2 * SWEEP_ROUNDS)
+
     def test_cyclic_round_makes_no_base_check(self, monkeypatch):
-        # the one-pass theta check accepts cyclic values whole, and the
-        # bridge reads the base pairing unchecked (level 1 has the trivial,
-        # rank-0 base, so it is not cyclic and takes the per-part checks)
+        # the sweep checks indices, never ThetaElements, and the bridge
+        # reads the base pairing unchecked, so no round calls a base check
+        # (level 1 has the trivial, rank-0 base and is not among these)
         calls = counting_checks(monkeypatch, FiniteAbelianGroup)
         for n in (2, 5, 12, 1000):
             assert _sanity_sweep(level_data(n).theta, random.Random(3), "x") == []
