@@ -62,7 +62,6 @@ class ThetaGroup:
         self.m = m = base.order
         self.order = m ** 3
         self._fs = fs = base.invariant_factors
-        self._scales = tuple(m // d for d in fs)  # <l, k> = sum l_i k_i m/d_i
         self._radices = (m, *fs, *fs)  # index() digits: a, then k, then l
         self._cyclic = len(fs) == 1  # scalar law: <l, k> = l0 * k0 mod m
         self._mm = m * m  # place value of a in the index
@@ -114,7 +113,8 @@ class ThetaGroup:
 
     def _twist(self, l: Coords, k: Coords) -> int:
         """<l, k>, the exponent of the character l at k, mod m."""
-        return sum(map(mul, map(mul, l, k), self._scales)) % self.m
+        # <l, k> = sum l_i k_i m/d_i: the base's pairing scales, as m = |K|
+        return sum(map(mul, map(mul, l, k), self.base._scales)) % self.m
 
     # The law itself is unchecked, on indices: the public methods and the
     # sanity sweep validate each value once, before the law consumes it.

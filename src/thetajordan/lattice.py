@@ -53,7 +53,6 @@ class ConcreteGroup:
             if len(self._inv) != n:
                 raise ValueError("inverse table length does not match the order")
         self._describe = describe
-        self._cent_masks: list[int] | None = None
         self._verify()
 
     @classmethod
@@ -111,19 +110,16 @@ class ConcreteGroup:
         return self._describe(i) if self._describe else str(i)
 
     def centralizer_masks(self) -> list[int]:
-        """masks[g] has bit h set iff g and h commute.  Cached."""
-        if self._cent_masks is None:
-            mul = self._mul
-            masks = []
-            for g in range(self.order):
-                row = mul[g]
-                m = 0
-                for h in range(self.order):
-                    if row[h] == mul[h][g]:
-                        m |= 1 << h
-                masks.append(m)
-            self._cent_masks = masks
-        return self._cent_masks
+        """masks[g] has bit h set iff g and h commute."""
+        mul = self._mul
+        masks = []
+        for g, row in enumerate(mul):
+            m = 0
+            for h in range(self.order):
+                if row[h] == mul[h][g]:
+                    m |= 1 << h
+            masks.append(m)
+        return masks
 
     def center_mask(self) -> int:
         """The elements that commute with every generator _verify found."""
@@ -286,15 +282,7 @@ def _max_related(mul, rel: list[int], start: int) -> int:
     # cannot beat the best order found.
     best, best_size = start, start.bit_count()
     seen = set()
-    stack = []
-    for g in range(len(mul)):
-        if start >> g & 1:
-            continue
-        smask = _extend_mask(mul, start, g)
-        if smask not in seen:
-            seen.add(smask)
-            # the elements related to all of <start, g> are those related to g
-            stack.append((smask, rel[g]))
+    stack = [(start, (1 << len(mul)) - 1)]
     while stack:
         smask, cmask = stack.pop()
         size = smask.bit_count()
@@ -312,6 +300,7 @@ def _max_related(mul, rel: list[int], start: int) -> int:
             tmask = _extend_mask(mul, smask, h)
             if tmask not in seen:
                 seen.add(tmask)
+                # related to all of <S, h> = related to all of S and to h
                 stack.append((tmask, cmask & rel[h]))
     return best
 

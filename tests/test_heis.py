@@ -76,8 +76,10 @@ class TestIndexing:
         st = pytest.importorskip("hypothesis.strategies")
         groups = [theta_group(FiniteAbelianGroup(fs)) for fs in divisor_chains(16)]
 
-        @st.composite
-        def cases(draw):
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            draw = data.draw
             G = draw(st.sampled_from(groups))
 
             def coords():
@@ -85,12 +87,7 @@ class TestIndexing:
                 return tuple(draw(st.integers(0, d - 1)) for d in fs)
 
             g = ThetaElement(draw(st.integers(0, G.m - 1)), coords(), coords())
-            return G, g, draw(st.integers(0, G.order - 1))
-
-        @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(cases())
-        def check(case):
-            G, g, i = case
+            i = draw(st.integers(0, G.order - 1))
             assert G.element(G.index(g)) == g
             assert G.index(G.element(i)) == i
             assert parse_element(G, format_element(g)) == g

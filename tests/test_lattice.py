@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from thetajordan import lattice
@@ -30,6 +32,20 @@ from helpers import (
 
 def concrete_theta(factors):
     return theta_group(make_group(factors)).to_concrete()
+
+
+@pytest.fixture
+def extend_calls(monkeypatch):
+    """A one-entry list that counts the searches' _extend_mask calls."""
+    calls = [0]
+    extend = lattice._extend_mask
+
+    def counted(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(lattice, "_extend_mask", counted)
+    return calls
 
 
 class TestConcreteGroup:
@@ -152,6 +168,24 @@ class TestConcreteGroup:
     def test_from_mul_fn_derives_inverses(self):
         G = ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
         assert [G.inv(i) for i in range(6)] == [0, 5, 4, 3, 2, 1]
+
+    @pytest.mark.parametrize("build", [lambda: concrete_theta([2]),
+                                       lambda: ConcreteGroup(dihedral_table(4))],
+                             ids=["theta Z2", "dihedral 8"])
+    def test_queries_leave_the_table_as_built(self, build):
+        # construction sets every attribute; no query fills one in later
+        G = build()
+        built = copy.deepcopy(vars(G))
+        G.centralizer_masks()
+        G.center_mask()
+        S = closure(G, [1])
+        is_subgroup(G, S.members)
+        is_abelian(G, S)
+        all_subgroups(G)
+        max_abelian_order(G)
+        min_abelian_index(G)
+        order_sequence(G)
+        assert vars(G) == built
 
     def test_centralizer_masks(self):
         G = ConcreteGroup(dihedral_table(4))
@@ -322,19 +356,25 @@ class TestMaxAbelianOracle:
             G = theta_group(K).to_concrete()
             assert max_abelian_order(G, cap=G.order) == K.order ** 2, fs
 
-    def test_each_extension_tried_once(self, monkeypatch):
+    @pytest.mark.parametrize("fs, calls", [([6], 71), ([7], 48), ([8], 129),
+                                           ([4, 2], 417), ([2, 2, 2], 1953)],
+                             ids=["Z6", "Z7", "Z8", "Z4xZ2", "Z2xZ2xZ2"])
+    def test_search_work_is_pinned(self, extend_calls, fs, calls):
+        # the theta table's quotient by its center and the pairing space over
+        # the same base are the same search, so both routes make the same
+        # _extend_mask calls
+        K = make_group(fs)
+        assert max_abelian_order(theta_group(K).to_concrete()) == K.order ** 2
+        assert extend_calls[0] == calls
+        extend_calls[0] = 0
+        assert max_isotropic_order(pairing_space(K), method="brute") == K.order
+        assert extend_calls[0] == calls
+
+    def test_each_extension_tried_once(self, extend_calls):
         # Z2xZ2xZ2's quotient: trying every element of every coset S*h, the
         # search made 5733 _extend_mask calls for the same answer
-        calls = [0]
-        extend = lattice._extend_mask
-
-        def counted(*args):
-            calls[0] += 1
-            return extend(*args)
-
-        monkeypatch.setattr(lattice, "_extend_mask", counted)
         assert max_abelian_order(concrete_theta([2, 2, 2])) == 64
-        assert 0 < calls[0] < 5733 // 2
+        assert 0 < extend_calls[0] < 5733 // 2
         for fs in divisor_chains(12):
             K = make_group(list(fs) or [1])
             P = pairing_space(K)

@@ -212,8 +212,10 @@ class TestAgainstReference:
         st = pytest.importorskip("hypothesis.strategies")
         chains = [fs for fs in divisor_chains(16) if fs]
 
-        @st.composite
-        def cases(draw):
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            draw = data.draw
             G = theta_group(FiniteAbelianGroup(draw(st.sampled_from(chains))))
             r = G.base.rank
             coord = st.integers(min_value=-2, max_value=17)
@@ -226,12 +228,7 @@ class TestAgainstReference:
                     tuple(draw(coords)),
                 )
 
-            return G, element(), element()
-
-        @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(cases())
-        def check(case):
-            G, g, h = case
+            g, h = element(), element()
             assert outcome(G.check_element, g) == outcome(ref_check, G, g)
             assert outcome(G.mul, g, h) == outcome(ref_mul, G, g, h)
             assert outcome(G.inv, g) == outcome(ref_inv, G, g)
