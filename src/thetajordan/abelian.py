@@ -173,22 +173,20 @@ class FiniteAbelianGroup(_Frozen):
 
 class IndexTables(NamedTuple):
     """Arithmetic of a group on the mixed-radix ranks 0..order-1 of its
-    elements (the positions in elements()): add[x][y] and neg[x] are ranks,
-    ev[l][x] is the exponent evaluate(l, x) with the default ambient order."""
+    elements (the positions in elements()): add[x][y] is a rank, ev[l][x]
+    the exponent evaluate(l, x) with the default ambient order."""
 
     add: list[list[int]]
-    neg: list[int]
     ev: list[list[int]]
 
 
 def index_tables(G: FiniteAbelianGroup, cap: int = ENUMERATION_CAP) -> IndexTables:
-    """Add, neg and evaluation tables of G, built once from the validated
-    add, neg and evaluate; CapExceeded when G's order exceeds the cap."""
+    """Add and evaluation tables of G, built once from the validated add
+    and evaluate; CapExceeded when G's order exceeds the cap."""
     els = G.elements(cap)
     fs = G.invariant_factors
     return IndexTables(
         add=[[radix_rank(G.add(x, y), fs) for y in els] for x in els],
-        neg=[radix_rank(G.neg(x), fs) for x in els],
         ev=[[G.evaluate(l, x) for x in els] for l in els],
     )
 

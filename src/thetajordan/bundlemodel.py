@@ -171,11 +171,12 @@ def _check_mode(mode: str) -> None:
 
 def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
                     evidence: dict | None = None):
-    """(max_abelian_order, min_index, method, disagreement-or-None).
+    """(max_abelian_order, min_index, method, violation-or-None).
 
     mode 'oracle' runs the exhaustive subgroup search, 'structural' uses the
     closed form, and 'both' runs both and records any disagreement; above
-    the oracle cap either mode falls back to the closed form.
+    the oracle cap either mode falls back to the closed form, and so does a
+    level whose table fails its group check, which is recorded as well.
     Calls that share an `evidence` dict run each level's oracle search once;
     it keeps these tuples, never a table, and never changes a result.
     """
@@ -188,7 +189,13 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     evidence = {} if evidence is None else evidence
     key = (level, mode)
     if key not in evidence:
-        omax = max_abelian_order(_oracle_table(theta, oracle_cap), oracle_cap)
+        try:
+            table = _oracle_table(theta, oracle_cap)
+        except ValueError as exc:  # the law's own table: a broken law fails here
+            evidence[key] = (structural_max, structural_idx, "structural",
+                             f"{level.label}: theta table is not a group: {exc}")
+            return evidence[key]
+        omax = max_abelian_order(table, oracle_cap)
         oidx = theta.order // omax
         disagreement = None
         if mode == "both" and (omax, oidx) != (structural_max, structural_idx):

@@ -14,15 +14,16 @@ hangs on.
 The law runs on element indices: the mixed-radix index a*m^2 + rank(k)*m
 + rank(l) that index() defines and the tables use, so a value check is one
 int test and one range compare.  ThetaElement appears only at the public
-boundary: arguments, results and messages.  On a cyclic base (every level
-of the family is one) the law runs in a scalar form on // and % of the
-indices, <l', k> = l0' * k0 mod m; every other rank decodes the digits with
-_kl (radix_unrank underneath) and works coordinate by coordinate, which is
-the reference the scalar form must equal.  The commutator bridge takes its
-closed form from the base's evaluation pairing (FiniteAbelianGroup._pairing,
-read unchecked on the digits _kl decodes from validated indices), not from
-the law's twist, so one broken twist cannot break the law and its check
-alike.
+boundary: arguments, results and messages.  _mul and _inv are the one
+formula of the law: to_concrete reads its tables off them.  Every rank runs
+one loop over the digits of the indices, coordinate by coordinate, with
+<l', k> = sum l'_t k_t m/d_t mod m; on a cyclic base (every level of the
+family is one) the law runs that loop's rank-1 case written out, a scalar
+form on // and % of the indices, and the loop is the reference it must
+equal.  The commutator bridge takes its closed form from the base's
+evaluation pairing (FiniteAbelianGroup._pairing, read unchecked on the
+digits _kl decodes from validated indices), not from the law, so a broken
+law does not break its own check.
 
 All values are immutable and all operations are pure functions, so shared
 group descriptions are safe to use concurrently.
@@ -31,7 +32,6 @@ group descriptions are safe to use concurrently.
 from __future__ import annotations
 
 from itertools import chain
-from operator import add, mod, mul, neg
 from typing import NamedTuple
 
 from .abelian import (
@@ -40,10 +40,8 @@ from .abelian import (
     FiniteAbelianGroup,
     check_cap,
     check_int,
-    index_tables,
     index_tuple,
     radix_rank,
-    radix_unrank,
 )
 from .lattice import ConcreteGroup, Subgroup
 
@@ -65,6 +63,13 @@ class ThetaGroup:
         self._radices = (m, *fs, *fs)  # index() digits: a, then k, then l
         self._cyclic = len(fs) == 1  # scalar law: <l, k> = l0 * k0 mod m
         self._mm = m * m  # place value of a in the index
+        # per base coordinate t: place values of k_t and l_t in the index,
+        # d_t, and the pairing scale m/d_t
+        digits, place = [], m
+        for d in fs:
+            place //= d
+            digits.append((m * place, place, d, m // d))
+        self._digits = tuple(digits)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ThetaGroup) and other.base == self.base
@@ -98,43 +103,38 @@ class ThetaGroup:
 
     def _kl(self, i: int) -> tuple[Coords, Coords]:
         """The base coordinates (k, l) of index i, unchecked: the caller has
-        validated i.  The one digit decoder of the law and the bridge."""
+        validated i.  The digit decoder of _parts and the bridge."""
         m = self.m
         if self._cyclic:
             return (i // m % m,), (i % m,)
-        coords = radix_unrank(i % self._mm, self._radices[1:])
-        r = self.base.rank
-        return coords[:r], coords[r:]
+        digits = self._digits
+        return (tuple(i // kp % d for kp, _, d, _ in digits),
+                tuple(i // lp % d for _, lp, d, _ in digits))
 
     def _parts(self, i: int) -> ThetaElement:
         """The element of index i, unchecked: the caller has validated i.
         An index past the order keeps its excess in a, as the law left it."""
         return ThetaElement(i // self._mm, *self._kl(i))
 
-    def _twist(self, l: Coords, k: Coords) -> int:
-        """<l, k>, the exponent of the character l at k, mod m."""
-        # <l, k> = sum l_i k_i m/d_i: the base's pairing scales, as m = |K|
-        return sum(map(mul, map(mul, l, k), self.base._scales)) % self.m
-
     # The law itself is unchecked, on indices: the public methods and the
     # sanity sweep validate each value once, before the law consumes it.
 
     def _mul(self, i: int, j: int) -> int:
-        """The product's index.  On a cyclic base a scalar form on operators:
-        gk and hl are the k digit of i and the l digit of j, and each sum
-        reduces the digits it needs with // and %."""
+        """The product's index, one base coordinate at a time: gk and hl are
+        the k_t digit of i and the l_t digit of j, and each sum reduces the
+        digits it needs with // and %.  On a cyclic base, the one-coordinate
+        case written out."""
         m, mm = self.m, self._mm
         if self._cyclic:
             gk, hl = i // m % m, j % m
             return ((i // mm + j // mm + hl * gk) % m * mm
                     + (gk + j // m) % m * m + (i + hl) % m)
-        (gk, gl), (hk, hl) = self._kl(i), self._kl(j)
-        fs = self._fs
-        return radix_rank((
-            (i // mm + j // mm + self._twist(hl, gk)) % m,
-            *map(mod, map(add, gk, hk), fs),
-            *map(mod, map(add, gl, hl), fs),
-        ), self._radices)
+        a, kl = i // mm + j // mm, 0
+        for kp, lp, d, scale in self._digits:
+            gk, hl = i // kp % d, j // lp % d
+            a += hl * gk * scale
+            kl += (gk + j // kp) % d * kp + (i // lp + hl) % d * lp
+        return a % m * mm + kl
 
     def _inv(self, i: int) -> int:
         """Closed-form inverse (-a + <l, k>, -k, -l)."""
@@ -142,13 +142,12 @@ class ThetaGroup:
         if self._cyclic:
             k, l = i // m % m, i % m
             return (l * k - i // mm) % m * mm + -k % m * m + -l % m
-        k, l = self._kl(i)
-        fs = self._fs
-        return radix_rank((
-            (self._twist(l, k) - i // mm) % m,
-            *map(mod, map(neg, k), fs),
-            *map(mod, map(neg, l), fs),
-        ), self._radices)
+        a, kl = -(i // mm), 0
+        for kp, lp, d, scale in self._digits:
+            k, l = i // kp % d, i // lp % d
+            a += l * k * scale
+            kl += -k % d * kp + -l % d * lp
+        return a % m * mm + kl
 
     def _bridge(self, g: int, h: int, gh: int, hg: int) -> int:
         """g h g^-1 h^-1 as gh (hg)^-1, checked against the closed form
@@ -157,8 +156,8 @@ class ThetaGroup:
         The caller has validated g, h and the products gh and hg; this
         validates (hg)^-1.  The closed form comes from the evaluation
         pairing of the base, read unchecked on the digits _kl decodes from
-        g and h, not from the law's own twist, so a broken twist cannot
-        break both.  A mismatch raises RuntimeError.
+        g and h, not from the law, so a broken law cannot break both.  A
+        mismatch raises RuntimeError.
         """
         direct = self._mul(gh, self._check_index(self._inv(hg)))
         (gk, gl), (hk, hl) = self._kl(g), self._kl(h)
@@ -248,43 +247,34 @@ class ThetaGroup:
     def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
         """Materialize multiplication and inverse tables over element indices.
 
-        The tables are computed on indices a*m^2 + k*m + l (k, l the ranks
-        of the base coordinates, as in index()) from the base's add, neg
-        and evaluation tables; mul and inv are the reference they must
-        equal.  Rows are built one (k, l) at a time: the m^2 entries of row
-        (0, k, l) with a' = 0 are computed in index arithmetic, the m central
-        rotations x -> x + a*m^2 (mod n) of one shared list of n ints extend
-        them to the whole row, and the row of (a, k, l) is that row rotated
-        by a*m^2, a slice of it doubled.  So only one row is alive beside the
-        table, and every entry is one of n shared int objects.
+        The tables are read off the law: _mul and _inv, on the indices
+        a*m^2 + k*m + l (k, l the ranks of the base coordinates, as in
+        index()).  Rows are built one (k, l) at a time: the m^2 entries of
+        row (0, k, l) with a' = 0 come from _mul, each checked as an index,
+        the m central rotations x -> x + a*m^2 (mod n) of one shared list of
+        n ints extend them to the whole row, and the row of (a, k, l) is
+        that row rotated by a*m^2, a slice of it doubled.  So only one row
+        is alive beside the table, and every entry is one of n shared int
+        objects.  The table's group check then proves the law a group.
         """
         check_cap(self.order, cap, "theta group")
-        m, n = self.m, self.order
-        mm = m * m
-        add, neg, ev = index_tables(self.base, cap)
+        m, n, mm = self.m, self.order, self._mm
+        mul, check = self._mul, self._check_index
         ranks = range(m)
         vals = list(range(n))
         rotations = [vals[a * mm:] + vals[:a * mm] for a in ranks]
         table = [None] * n
-        for k in ranks:
-            for l in ranks:
-                block = [
-                    ev[l2][k] * mm + add[k][k2] * m + add[l][l2]
-                    for k2 in ranks for l2 in ranks
-                ]
-                # map, not itemgetter: a one-entry block (m = 1) stays a row
-                line = tuple(chain.from_iterable(
-                    map(rot.__getitem__, block) for rot in rotations))
-                line += line
-                for a in ranks:
-                    table[a * mm + k * m + l] = line[a * mm:a * mm + n]
-        inv_table = [
-            (ev[l][k] - a) % m * mm + neg[k] * m + neg[l]
-            for a in ranks for k in ranks for l in ranks
-        ]
+        for kl in range(mm):
+            block = [check(mul(kl, j)) for j in range(mm)]
+            # map, not itemgetter: a one-entry block (m = 1) stays a row
+            line = tuple(chain.from_iterable(
+                map(rot.__getitem__, block) for rot in rotations))
+            line += line
+            for a in ranks:
+                table[a * mm + kl] = line[a * mm:a * mm + n]
         return ConcreteGroup(
             table,
-            inv_table=inv_table,
+            inv_table=list(map(self._inv, range(n))),
             identity=0,
             describe=lambda i: format_element(self.element(i)),
         )

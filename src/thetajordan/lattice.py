@@ -1,8 +1,8 @@
 """Subgroup machinery for concrete finite groups.
 
 A ConcreteGroup is an explicit multiplication table on element indices
-0..order-1; theta and pairing-space tables are computed in index
-arithmetic from their base group's add and evaluation tables.  Subgroups
+0..order-1; theta tables are read off the theta law, and pairing-space
+tables are computed from their base group's add table.  Subgroups
 are bitmasks (one Python int each), and two routines answer every subgroup
 question: _generate closes a seed from greedy generators, and _max_related
 is the pruned search for the largest subgroup whose members pairwise

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import time
@@ -266,7 +267,8 @@ class TestVerifyLevel:
 
 
 # Broken laws, patched into the one unchecked law (ThetaGroup._mul and
-# _inv) that the validated public methods and the sanity sweep both run.
+# _inv) that the validated public methods, the sanity sweep and the
+# oracle's table all run.
 # The law runs on element indices; each broken law below is written on
 # ThetaElements and patched in through on_indices.
 _int_mul = ThetaGroup._mul
@@ -305,16 +307,17 @@ def _leaky_mul(self, g, h):
 
 
 def _cubic_mul(self, g, h):
-    """Cyclic base only: the twist gains g.k^2 * h.k, which is not a cocycle,
+    """The twist gains g.k^2 * h.k on the last base coordinate, which is not
+    a cocycle when that coordinate's factor is above 2 (on Z2 it is one),
     so the law is not associative."""
     right = _correct_mul(self, g, h)
-    return right._replace(a=(right.a + g.k[0] ** 2 * h.k[0]) % self.m)
+    return right._replace(a=(right.a + g.k[-1] ** 2 * h.k[-1]) % self.m)
 
 
 def _cubic_inv(self, g):
     """Right inverse under _cubic_mul."""
     right = _correct_inv(self, g)
-    return right._replace(a=(right.a - g.k[0] ** 2 * right.k[0]) % self.m)
+    return right._replace(a=(right.a - g.k[-1] ** 2 * right.k[-1]) % self.m)
 
 
 def _off_by_one_inv(self, g):
@@ -344,6 +347,58 @@ def _zero_twist(self, l, k):
 def _first_coordinate_twist(self, l, k):
     """<l, k> from the first base coordinate alone, dropping the rest."""
     return l[0] * k[0] * (self.m // self.base.invariant_factors[0]) % self.m
+
+
+def _twisted_law(twist):
+    """The theta law with twist(self, l, k) in place of <l, k>, as the
+    _mul and _inv it replaces."""
+    def mul(self, g, h):
+        K = self.base
+        a = (g.a + h.a + twist(self, h.l, g.k)) % self.m
+        return ThetaElement(a, K.add(g.k, h.k), K.add(g.l, h.l))
+
+    def inv(self, g):
+        K = self.base
+        a = (twist(self, g.l, g.k) - g.a) % self.m
+        return ThetaElement(a, K.neg(g.k), K.neg(g.l))
+
+    return {"_mul": on_indices(mul), "_inv": on_indices(inv)}
+
+
+def _float_mul(self, i, j):
+    """The law's products as floats: 2.0 == 2 passes every range compare."""
+    return float(_int_mul(self, i, j))
+
+
+def _carrying_mul(digit):
+    """The scalar law with the % m of one digit, "k" or "l", dropped: its
+    carry runs into the digit above, so products change or leave the
+    group.  On a non-cyclic base it reads the ranks of k and l as digits."""
+    def carrying_mul(self, i, j):
+        m, mm = self.m, self._mm
+        ga, gkl = divmod(i, mm)
+        gk, gl = divmod(gkl, m)
+        ha, hkl = divmod(j, mm)
+        hk, hl = divmod(hkl, m)
+        k, l = gk + hk, gl + hl
+        if digit == "k":
+            l %= m
+        else:
+            k %= m
+        return (ga + ha + hl * gk) % m * mm + k * m + l
+
+    return carrying_mul
+
+
+# name -> the unchecked law methods a law replaces; each fails the group
+# check of the table the oracle reads off the law
+BROKEN_TABLES = {
+    "cubic": {"_mul": on_indices(_cubic_mul), "_inv": on_indices(_cubic_inv)},
+    "off-by-one inverse": {"_inv": on_indices(_off_by_one_inv)},
+    "float": {"_mul": _float_mul},
+    "carrying k": {"_mul": _carrying_mul("k")},
+    "carrying l": {"_mul": _carrying_mul("l")},
+}
 
 
 class TestSanitySweep:
@@ -400,12 +455,55 @@ class TestSanitySweep:
     def test_broken_twist_exits_1(self, monkeypatch, capsys, twist, spec, mode):
         # the bridge's closed form comes from the base's evaluation pairing,
         # so a twist broken in the law alone shows as a commutator mismatch
-        monkeypatch.setattr(ThetaGroup, "_twist", twist)
+        for name, law in _twisted_law(twist).items():
+            monkeypatch.setattr(ThetaGroup, name, law)
         code = main(["verify", "--base-group", spec, "--mode", mode,
                      "--format", "json", "--no-timestamps"])
         out, _ = capsys.readouterr()
         assert code == EXIT_VIOLATION
         assert "commutator mismatch" in out
+        if mode != "structural" and twist is _zero_twist:
+            # the oracle searched the law's own table, which is abelian
+            entry = json.loads(out)["reports"][0]["entries"][0]
+            assert entry["min_abelian_index"] == 1
+
+    @pytest.mark.parametrize("law", BROKEN_TABLES)
+    @pytest.mark.parametrize("spec", ["Z5", "Z2xZ4"])
+    @pytest.mark.parametrize("mode", ["oracle", "both"])
+    def test_broken_table_exits_1_with_report(self, monkeypatch, capsys, law,
+                                              spec, mode):
+        # the table is read off the law, so a broken law fails the table's
+        # group check: a violation of that level, not a usage error, and
+        # the entry answers from the closed form
+        for name, fn in BROKEN_TABLES[law].items():
+            monkeypatch.setattr(ThetaGroup, name, fn)
+        code = main(["verify", "--base-group", spec, "--mode", mode,
+                     "--format", "json", "--no-timestamps"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_VIOLATION, "")
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["reports"][0]["entries"][0]["method"] == "structural"
+        label = "level 5" if spec == "Z5" else spec
+        assert [v for v in doc["violations"]
+                if v.startswith(f"{label}: theta table is not a group: ")]
+
+    def test_broken_table_is_returned_not_raised(self, monkeypatch):
+        for name, fn in BROKEN_TABLES["cubic"].items():
+            monkeypatch.setattr(ThetaGroup, name, fn)
+        entry, violations = verify_level(level_data(5), mode="oracle")
+        assert (entry.min_abelian_index, entry.method) == (5, "structural")
+        assert violations[-1] == ("level 5: theta table is not a group: "
+                                  "inverse table is wrong at element 5")
+        # a certificate on that level fails through the disagreement's slot
+        with pytest.raises(BoundViolation,
+                           match="^threshold 4: level 5: theta table is not"):
+            jordan_certificate(DiffeoClass(1), 4, mode="oracle")
+        # usage errors still raise
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify_level(level_data(5), mode="bogus")
+        with pytest.raises(ValueError, match="oracle cap"):
+            verify_level(level_data(5), mode="oracle", oracle_cap=1.5)
 
     @pytest.mark.parametrize("args", [["--base-group", "Z4xZ2"], ["--max-n", "3"]])
     def test_bridge_reads_base_pairing(self, monkeypatch, capsys, args):
@@ -430,8 +528,7 @@ class TestSanitySweep:
     def test_float_law_leaves_the_group(self, monkeypatch):
         # 2.0 == 2 passes every range compare, so only the check's int test
         # stops a law that returns floats; at level 1 every product is 0.0
-        monkeypatch.setattr(ThetaGroup, "_mul",
-                            lambda self, i, j: float(_int_mul(self, i, j)))
+        monkeypatch.setattr(ThetaGroup, "_mul", _float_mul)
         for theta in self.THETAS:
             violations = self.sweep(theta)
             assert len(violations) == 1
@@ -441,22 +538,7 @@ class TestSanitySweep:
     @pytest.mark.parametrize("digit", ["k", "l"])
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 97, 1000])
     def test_unreduced_digit_is_caught(self, monkeypatch, digit, n):
-        # the scalar law with one digit's % m dropped: its carry runs into
-        # the digit above, so products change or leave the group
-        def carrying_mul(self, i, j):
-            m, mm = self.m, self._mm
-            ga, gkl = divmod(i, mm)
-            gk, gl = divmod(gkl, m)
-            ha, hkl = divmod(j, mm)
-            hk, hl = divmod(hkl, m)
-            k, l = gk + hk, gl + hl
-            if digit == "k":
-                l %= m
-            else:
-                k %= m
-            return (ga + ha + hl * gk) % m * mm + k * m + l
-
-        monkeypatch.setattr(ThetaGroup, "_mul", carrying_mul)
+        monkeypatch.setattr(ThetaGroup, "_mul", _carrying_mul(digit))
         assert self.sweep(level_data(n).theta)
 
 

@@ -8,6 +8,7 @@ result, and every rejected one the same ValueError message.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -206,6 +207,22 @@ class TestAgainstReference:
             for j in edges:
                 want = G.index(ref_mul(G, g, G.element(j)))
                 assert G._mul(i, j) == generic._mul(i, j) == want
+
+    @pytest.mark.parametrize("factors", [[2, 4], [3, 6], [2, 8], [2, 2, 2], [2, 2, 4]],
+                             ids=lambda fs: "x".join(map(str, fs)))
+    def test_digit_loop_at_digit_boundaries(self, factors):
+        # the loop carries between coordinates where a digit is 0, 1 or
+        # d_t - 1 and a is 0 or m - 1, which random pairs rarely hit: every
+        # pair of such indices on the unchecked law, against the reference
+        G = theta_group(make_group(factors))
+        digits = [sorted({0, 1, d - 1}) for d in G.base.invariant_factors]
+        els = [ThetaElement(a, k, l) for a in (0, G.m - 1)
+               for k in product(*digits) for l in product(*digits)]
+        edges = list(map(G.index, els))
+        for i, g in zip(edges, els):
+            assert G._inv(i) == G.index(ref_inv(G, g))
+            for j, h in zip(edges, els):
+                assert G._mul(i, j) == G.index(ref_mul(G, g, h))
 
     def test_generated_tuples(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -418,3 +435,28 @@ class TestSweepAgainstReference:
                             on_indices(test_bundlemodel._symmetric_inv))
         with pytest.raises(RuntimeError, match="commutator mismatch"):
             G.commutator(g, ThetaElement(4, (1,), (1,)))  # closed form (4, 0, 0)
+        # the table is read off the same law: every cell of it
+        for factors in ([4], [2, 2]):
+            H = theta_group(make_group(factors))
+            table = H.to_concrete()._mul
+            els = H.elements()
+            for i, g in enumerate(els):
+                for j, h in enumerate(els):
+                    want = H.index(test_bundlemodel._symmetric_mul(H, g, h))
+                    assert table[i][j] == want
+
+    @pytest.mark.parametrize("factors", [[6], [8], [4, 2], [2, 2, 2]],
+                             ids=lambda fs: "x".join(map(str, fs)))
+    def test_table_reads_the_law(self, monkeypatch, factors):
+        # _mul and _inv are the table's one source: m^4 products (the a' = 0
+        # block of each row (0, k, l); central rotations give the rest), n
+        # inverses, and no call into the base group
+        G = theta_group(make_group(factors))
+        muls = counting_checks(monkeypatch, names=("_mul",))
+        invs = counting_checks(monkeypatch, names=("_inv",))
+        base = counting_checks(monkeypatch, FiniteAbelianGroup, [
+            name for name, attr in vars(FiniteAbelianGroup).items()
+            if callable(attr) and not name.startswith("__")
+        ])
+        G.to_concrete()
+        assert (muls[0], invs[0], base[0]) == (G.m ** 4, G.order, 0)
