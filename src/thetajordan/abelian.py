@@ -6,7 +6,9 @@ are coordinate vectors reduced modulo those factors, with characters using
 the same coordinates as elements (the dual of a finite abelian group is
 isomorphic to the group itself).  Character values are kept as additive
 exponents of a fixed primitive m-th root of unity, so every operation here
-is integer arithmetic; no floating point, no complex numbers.
+is integer arithmetic; no floating point, no complex numbers.  A group's
+one mixed-radix codec ranks an element by its position in elements(), the
+last coordinate running fastest, at place values computed once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from itertools import product as _cartesian
 from math import gcd, prod
 from operator import add, mod, mul, neg
-from typing import NamedTuple
 
 # Elements and characters are both plain coordinate tuples.
 Coords = tuple[int, ...]
@@ -93,7 +94,7 @@ class _Frozen:
 class FiniteAbelianGroup(_Frozen):
     """Canonical invariant-factor form of a finite abelian group."""
 
-    __slots__ = ("invariant_factors", "order", "rank", "_scales")
+    __slots__ = ("invariant_factors", "order", "rank", "_scales", "_places")
     _field = "invariant_factors"
 
     def __init__(self, invariant_factors: Coords = ()):
@@ -111,6 +112,9 @@ class FiniteAbelianGroup(_Frozen):
         object.__setattr__(self, "rank", len(fs))
         # char(x) = zeta^(sum c_i x_i m/d_i) at the default ambient order m
         object.__setattr__(self, "_scales", tuple(order // d for d in fs))
+        # the place value of each coordinate in _rank: the last runs fastest
+        object.__setattr__(self, "_places", tuple(
+            prod(fs[t + 1:]) for t in range(len(fs))))
 
     def spec_string(self) -> str:
         """Render as group-spec grammar, e.g. 'Z4xZ2' ('Z1' when trivial)."""
@@ -170,42 +174,16 @@ class FiniteAbelianGroup(_Frozen):
         caller has validated char and x."""
         return sum(map(mul, map(mul, char, x), self._scales)) % self.order
 
+    # The one mixed-radix codec, unchecked: the caller has validated x or r.
 
-class IndexTables(NamedTuple):
-    """Arithmetic of a group on the mixed-radix ranks 0..order-1 of its
-    elements (the positions in elements()): add[x][y] is a rank, ev[l][x]
-    the exponent evaluate(l, x) with the default ambient order."""
+    def _rank(self, x: Coords) -> int:
+        """The position of x in elements().  Linear in the digits, so a
+        digit out of range keeps its excess in the rank."""
+        return sum(map(mul, x, self._places))
 
-    add: list[list[int]]
-    ev: list[list[int]]
-
-
-def index_tables(G: FiniteAbelianGroup, cap: int = ENUMERATION_CAP) -> IndexTables:
-    """Add and evaluation tables of G, built once from the validated add
-    and evaluate; CapExceeded when G's order exceeds the cap."""
-    els = G.elements(cap)
-    fs = G.invariant_factors
-    return IndexTables(
-        add=[[radix_rank(G.add(x, y), fs) for y in els] for x in els],
-        ev=[[G.evaluate(l, x) for x in els] for l in els],
-    )
-
-
-def radix_rank(digits: Coords, radices: Coords) -> int:
-    """Mixed-radix rank of digits below their radices, first most significant."""
-    idx = 0
-    for c, d in zip(digits, radices):
-        idx = idx * d + c
-    return idx
-
-
-def radix_unrank(idx: int, radices: Coords) -> Coords:
-    """Inverse of radix_rank for 0 <= idx < prod(radices)."""
-    rev = []
-    for d in reversed(radices):
-        idx, c = divmod(idx, d)
-        rev.append(c)
-    return tuple(reversed(rev))
+    def _coords(self, r: int) -> AbElement:
+        """The element at position r of elements(), 0 <= r < order."""
+        return tuple(r // p % d for p, d in zip(self._places, self.invariant_factors))
 
 
 def index_tuple(values, n: int | None, what: str = "index") -> tuple[int, ...]:

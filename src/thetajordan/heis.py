@@ -12,18 +12,20 @@ commutator lands in it, which is what the whole abelian-index analysis
 hangs on.
 
 The law runs on element indices: the mixed-radix index a*m^2 + rank(k)*m
-+ rank(l) that index() defines and the tables use, so a value check is one
-int test and one range compare.  ThetaElement appears only at the public
-boundary: arguments, results and messages.  _mul and _inv are the one
-formula of the law: to_concrete reads its tables off them.  Every rank runs
-one loop over the digits of the indices, coordinate by coordinate, with
-<l', k> = sum l'_t k_t m/d_t mod m; on a cyclic base (every level of the
-family is one) the law runs that loop's rank-1 case written out, a scalar
-form on // and % of the indices, and the loop is the reference it must
-equal.  The commutator bridge takes its closed form from the base's
-evaluation pairing (FiniteAbelianGroup._pairing, read unchecked on the
-digits _kl decodes from validated indices), not from the law, so a broken
-law does not break its own check.
++ rank(l) that index() defines and the tables use, where rank is the base's
+one codec (FiniteAbelianGroup._rank, the position in elements()), so a
+value check is one int test and one range compare.  ThetaElement appears
+only at the public boundary: arguments, results and messages.  _mul and
+_inv are the one formula of the law: to_concrete reads its tables off them.
+Every rank runs one loop over the digits of the indices, coordinate by
+coordinate, at the base's place values, with <l', k> = sum l'_t k_t m/d_t
+mod m; on a cyclic base (every level of the family is one) the law runs
+that loop's rank-1 case written out, a scalar form on // and % of the
+indices, and the loop is the reference it must equal.  The commutator
+bridge takes its closed form from the base's evaluation pairing
+(FiniteAbelianGroup._pairing, read unchecked on the digits _kl decodes from
+validated indices), not from the law, so a broken law does not break its
+own check.
 
 All values are immutable and all operations are pure functions, so shared
 group descriptions are safe to use concurrently.
@@ -41,7 +43,6 @@ from .abelian import (
     check_cap,
     check_int,
     index_tuple,
-    radix_rank,
 )
 from .lattice import ConcreteGroup, Subgroup
 
@@ -60,16 +61,12 @@ class ThetaGroup:
         self.m = m = base.order
         self.order = m ** 3
         self._fs = fs = base.invariant_factors
-        self._radices = (m, *fs, *fs)  # index() digits: a, then k, then l
         self._cyclic = len(fs) == 1  # scalar law: <l, k> = l0 * k0 mod m
         self._mm = m * m  # place value of a in the index
         # per base coordinate t: place values of k_t and l_t in the index,
         # d_t, and the pairing scale m/d_t
-        digits, place = [], m
-        for d in fs:
-            place //= d
-            digits.append((m * place, place, d, m // d))
-        self._digits = tuple(digits)
+        self._digits = tuple(zip([m * p for p in base._places], base._places,
+                                 fs, base._scales))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ThetaGroup) and other.base == self.base
@@ -107,9 +104,8 @@ class ThetaGroup:
         m = self.m
         if self._cyclic:
             return (i // m % m,), (i % m,)
-        digits = self._digits
-        return (tuple(i // kp % d for kp, _, d, _ in digits),
-                tuple(i // lp % d for _, lp, d, _ in digits))
+        coords = self.base._coords
+        return coords(i // m % m), coords(i % m)
 
     def _parts(self, i: int) -> ThetaElement:
         """The element of index i, unchecked: the caller has validated i.
@@ -192,18 +188,25 @@ class ThetaGroup:
         return self._parts(self._bridge(i, j, gh, hg))
 
     def element_order(self, g: ThetaElement) -> int:
-        """Least t >= 1 with g^t = identity (costs t multiplications)."""
+        """Least t >= 1 with g^t = identity (costs t multiplications); a law
+        under which g has no such t <= order raises RuntimeError."""
         x = i = self.index(g)
         t = 1
         while x:  # the identity is index 0
+            if t == self.order:
+                raise RuntimeError(
+                    f"{format_element(g)} has no order: its first {t} powers "
+                    f"miss the identity, and the group has order {t}"
+                )
             x = self._check_index(self._mul(x, i))
             t += 1
         return t
 
     def index(self, g: ThetaElement) -> int:
-        """Mixed-radix rank of (a, k, l), a most significant; identity -> 0."""
+        """a*m^2 + rank(k)*m + rank(l), rank the base's codec; identity -> 0."""
         self.check_element(g)
-        return radix_rank((g.a, *g.k, *g.l), self._radices)
+        rank = self.base._rank
+        return g.a * self._mm + rank(g.k) * self.m + rank(g.l)
 
     def element(self, idx: int) -> ThetaElement:
         """Inverse of index()."""
@@ -255,11 +258,23 @@ class ThetaGroup:
         n ints extend them to the whole row, and the row of (a, k, l) is
         that row rotated by a*m^2, a slice of it doubled.  So only one row
         is alive beside the table, and every entry is one of n shared int
-        objects.  The table's group check then proves the law a group.
+        objects.  The rotation rule's premise is checked first: the row and
+        column of the central element c = (1, 0, 0) must both be
+        x -> x + m^2 (mod n), else ValueError.  The table's group check then
+        proves the table a group.  It agrees with the law on the a' = 0
+        block, on the inverses and on c's row and column; elsewhere only the
+        sanity sweep compares them.
         """
         check_cap(self.order, cap, "theta group")
         m, n, mm = self.m, self.order, self._mm
         mul, check = self._mul, self._check_index
+        c = mm % n  # index of (1, 0, 0); the identity when m = 1
+        for x in range(n):
+            cx = (x + mm) % n
+            if check(mul(c, x)) != cx or check(mul(x, c)) != cx:
+                c_, x_, cx_ = (format_element(self._parts(i)) for i in (c, x, cx))
+                raise ValueError(f"the central element {c_} does not rotate "
+                                 f"{x_} to {cx_} on both sides")
         ranks = range(m)
         vals = list(range(n))
         rotations = [vals[a * mm:] + vals[:a * mm] for a in ranks]

@@ -12,7 +12,10 @@ correspond to isotropic subgroups down here, maximal isotropic subgroups
 have order m, and therefore the maximal abelian order is m * m and the
 minimal abelian index is exactly m.  That closed form is the structural
 route; the brute-force route searches the pairing space's table for the
-largest subgroup on which the pairing vanishes.
+largest subgroup on which the pairing vanishes.  A point's index is
+rank(k)*m + rank(l) by the base's codec, the theta index without its a
+digit, and the table and the isotropy masks come from the base's validated
+add and evaluate, not from the theta law.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .abelian import Coords, ENUMERATION_CAP, FiniteAbelianGroup, check_cap
-from .abelian import check_int, index_tables, index_tuple, radix_rank, radix_unrank
+from .abelian import check_int, index_tuple
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, _max_related
 
 Point = tuple[Coords, Coords]
@@ -82,22 +85,23 @@ class PairingSpace(NamedTuple):
         return [(k, l) for k in els for l in els]
 
     def index(self, p: Point) -> int:
+        """rank(k)*m + rank(l): the theta index without its a digit."""
         self.check_point(p)
-        fs = self.base.invariant_factors
-        return radix_rank(p[0] + p[1], fs + fs)
+        rank = self.base._rank
+        return rank(p[0]) * self.m + rank(p[1])
 
     def point(self, idx: int) -> Point:
         index_tuple((idx,), self.order)
-        fs = self.base.invariant_factors
-        coords = radix_unrank(idx, fs + fs)
-        return (coords[:len(fs)], coords[len(fs):])
+        coords = self.base._coords
+        return (coords(idx // self.m), coords(idx % self.m))
 
     def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
         """The additive group of the space as an explicit table on indices
         k*m + l, computed from the base's add table."""
         check_cap(self.order, cap, "pairing space")
-        m = self.m
-        add = index_tables(self.base, cap).add
+        m, K = self.m, self.base
+        els = K.elements(cap)
+        add = [[K._rank(K.add(x, y)) for y in els] for x in els]
         table = [
             tuple([add[k][k2] * m + add[l][l2] for k2 in range(m) for l2 in range(m)])
             for k in range(m) for l in range(m)
@@ -148,8 +152,9 @@ def max_isotropic_order(space: PairingSpace, method: str = "both",
         check_cap(space.order, cap, "pairing space")
     elif space.order > check_int(cap, "cap"):
         return structural
-    m = space.m
-    ev = index_tables(space.base, cap).ev
+    m, K = space.m, space.base
+    els = K.elements(cap)
+    ev = [[K.evaluate(l, x) for x in els] for l in els]
     # iso[i] masks the points pairing to 0 with point i; 1 masks {zero}
     iso = [
         sum(1 << (k2 * m + l2) for k2 in range(m) for l2 in range(m)

@@ -77,6 +77,15 @@ def addition_table(factors):
     ]
 
 
+def horner_rank(digits, radices):
+    """Mixed-radix rank by Horner's rule, the first digit most significant;
+    a digit out of range keeps its excess."""
+    r = 0
+    for c, d in zip(digits, radices):
+        r = r * d + c
+    return r
+
+
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 

@@ -24,6 +24,7 @@ from helpers import (
     char_value_complex,
     direct_sum_order_census,
     divisor_chains,
+    horner_rank,
     root_of_unity,
 )
 
@@ -232,6 +233,27 @@ class TestEnumerate:
                            match="^group of order 8192 exceeds the cap 4096$"):
             G.elements()
         assert len(G.elements(cap=8192)) == 8192
+
+
+class TestCodec:
+    # the one mixed-radix codec: _rank(x) is the position of x in
+    # elements(), and _coords is its inverse
+    def test_coords_is_elements_and_rank_inverts_it(self):
+        for fs in divisor_chains(64):
+            G = FiniteAbelianGroup(fs)
+            els = G.elements()
+            assert [G._coords(r) for r in range(G.order)] == els
+            assert [G._rank(x) for x in els] == list(range(G.order))
+
+    def test_rank_is_horner_on_out_of_range_digits(self):
+        # a law that leaves a digit out of range is encoded by _rank, and
+        # the index must keep the excess, as the Horner form does
+        rng = random.Random(64)
+        for fs in divisor_chains(64):
+            G = FiniteAbelianGroup(fs)
+            for _ in range(20):
+                x = tuple(rng.randrange(-2 * d, 3 * d) for d in fs)
+                assert G._rank(x) == horner_rank(x, fs)
 
 
 class TestEvaluate:

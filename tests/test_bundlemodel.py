@@ -6,7 +6,7 @@ import time
 import pytest
 
 from thetajordan import bundlemodel
-from thetajordan.abelian import FiniteAbelianGroup, make_group, radix_rank
+from thetajordan.abelian import FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
     BoundViolation,
@@ -276,9 +276,10 @@ _int_inv = ThetaGroup._inv
 
 
 def _rank(self, g):
-    """Index of g by the unchecked radix_rank: a digit the law left out of
+    """Index of g by the base's unchecked codec: a digit the law left out of
     range stays out, so a leaky law gives an index past the order."""
-    return radix_rank((g.a, *g.k, *g.l), self._radices)
+    rank = self.base._rank
+    return g.a * self._mm + rank(g.k) * self.m + rank(g.l)
 
 
 def on_indices(law):
@@ -337,6 +338,14 @@ def _symmetric_inv(self, g):
     right = _correct_inv(self, g)
     extra = self.base.evaluate(g.l, g.k, self.m)
     return right._replace(a=(right.a + extra) % self.m)
+
+
+def _doubled_central_mul(self, g, h):
+    """The central exponents add as a + 2a': the law is right on the a' = 0
+    block, which is all of the table that the central rotations do not
+    fill in."""
+    right = _correct_mul(self, g, h)
+    return right._replace(a=(right.a + h.a) % self.m)
 
 
 def _zero_twist(self, l, k):
@@ -487,6 +496,45 @@ class TestSanitySweep:
         label = "level 5" if spec == "Z5" else spec
         assert [v for v in doc["violations"]
                 if v.startswith(f"{label}: theta table is not a group: ")]
+
+    @pytest.mark.parametrize("spec, label, c, e", [
+        ("Z8", "level 8", "(1; 0; 0)", "(0; 0; 0)"),
+        ("Z2xZ4", "Z2xZ4", "(1; 0,0; 0,0)", "(0; 0,0; 0,0)"),
+    ])
+    def test_central_rotation_is_checked(self, monkeypatch, capsys, spec,
+                                         label, c, e):
+        # a table built from the a' = 0 block and central rotations equals
+        # the true law's under this defect, so the table's group check alone
+        # cannot see it; the check of c = (1, 0, 0)'s row and column does,
+        # at e * c = (2, 0, 0)
+        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_doubled_central_mul))
+        code = main(["verify", "--base-group", spec, "--mode", "oracle",
+                     "--format", "json", "--no-timestamps"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_VIOLATION, "")
+        assert (f"{label}: theta table is not a group: the central element "
+                f"{c} does not rotate {e} to {c} on both sides"
+                ) in json.loads(out)["violations"]
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    @pytest.mark.parametrize("spec, label, n", [("Z6", "level 6", 6),
+                                                ("Z2xZ4", "Z2xZ4", 8)])
+    def test_bound_at_its_boundary(self, monkeypatch, capsys, offset, spec,
+                                   label, n):
+        # the paper's bound is index >= n: a structural index of n - 1
+        # breaks it, and n does not
+        monkeypatch.setattr(bundlemodel, "structural_min_abelian_index",
+                            lambda base: base.order + offset)
+        code = main(["verify", "--base-group", spec, "--mode", "structural",
+                     "--format", "json", "--no-timestamps"])
+        out, _ = capsys.readouterr()
+        violations = json.loads(out)["violations"]
+        if offset:
+            assert code == EXIT_VIOLATION
+            assert violations == [f"{label}: min abelian index {n - 1} is below "
+                                  f"the bound {n} (structural)"]
+        else:
+            assert (code, violations) == (0, [])
 
     def test_broken_table_is_returned_not_raised(self, monkeypatch):
         for name, fn in BROKEN_TABLES["cubic"].items():

@@ -275,6 +275,23 @@ class TestCenterAndOrders:
         G = theta([2])
         assert G.element_order(ThetaElement(0, (1,), (1,))) == 4
 
+    def test_element_order_is_bounded(self, monkeypatch):
+        # under (i + j + 1) % n the powers of index 1 are 1, 3, 5, 7, ...:
+        # they never reach the identity, and element_order stops after n
+        # steps instead of looping; the counter turns a loop into a failure
+        G = theta([2])
+        calls = []
+
+        def endless(self, i, j):
+            calls.append((i, j))
+            assert len(calls) < 10 * self.order, "element_order does not stop"
+            return (i + j + 1) % self.order
+
+        monkeypatch.setattr(type(G), "_mul", endless)
+        with pytest.raises(RuntimeError, match=r"^\(0; 0; 1\) has no order: "):
+            G.element_order(ThetaElement(0, (0,), (1,)))
+        assert len(calls) == G.order - 1
+
     def test_order_census_is_dihedral8(self):
         G = theta([2])
         census = Counter(G.element_order(g) for g in G.elements())

@@ -449,8 +449,9 @@ class TestSweepAgainstReference:
                              ids=lambda fs: "x".join(map(str, fs)))
     def test_table_reads_the_law(self, monkeypatch, factors):
         # _mul and _inv are the table's one source: m^4 products (the a' = 0
-        # block of each row (0, k, l); central rotations give the rest), n
-        # inverses, and no call into the base group
+        # block of each row (0, k, l); central rotations give the rest), 2n
+        # more for the central element's row and column, which the rotation
+        # rule assumes, n inverses, and no call into the base group
         G = theta_group(make_group(factors))
         muls = counting_checks(monkeypatch, names=("_mul",))
         invs = counting_checks(monkeypatch, names=("_inv",))
@@ -459,4 +460,4 @@ class TestSweepAgainstReference:
             if callable(attr) and not name.startswith("__")
         ])
         G.to_concrete()
-        assert (muls[0], invs[0], base[0]) == (G.m ** 4, G.order, 0)
+        assert (muls[0], invs[0], base[0]) == (G.m ** 4 + 2 * G.order, G.order, 0)

@@ -12,7 +12,7 @@ from thetajordan.symplectic import (
     structural_min_abelian_index,
 )
 
-from helpers import divisor_chains
+from helpers import divisor_chains, horner_rank
 from test_law_reference import counting_checks
 
 
@@ -72,6 +72,17 @@ class TestPairing:
                 assert C.inv(i) == P.index(P.neg(p))
                 for j, q in enumerate(pts):
                     assert C.mul(i, j) == P.index(P.add(p, q))
+
+    def test_table_matches_add_table_build(self):
+        # the build this table replaced, written out: the base's add table
+        # on Horner ranks of elements(), entry (k, l) + (k2, l2) at k*m + l
+        for fs in divisor_chains(16):
+            K = FiniteAbelianGroup(fs)
+            m, els = K.order, K.elements()
+            add = [[horner_rank(K.add(x, y), fs) for y in els] for x in els]
+            want = [[add[k][k2] * m + add[l][l2] for k2 in range(m) for l2 in range(m)]
+                    for k in range(m) for l in range(m)]
+            assert [list(row) for row in pairing_space(K).to_concrete()._mul] == want
 
     def test_index_point_roundtrip(self):
         for factors in ([1], [2], [4, 2]):
