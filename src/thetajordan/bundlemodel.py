@@ -7,7 +7,8 @@ classes by the parity of the level, so reports attach every level to its
 parity class.  A verification entry checks that the minimal abelian index
 of the level-n theta group is at least n; a threshold certificate names the
 smallest level of a class whose index beats a candidate bound c, refuting c
-as a Jordan constant for that class.
+as a Jordan constant for that class.  Each entry first runs heis's seeded
+sanity sweep of the group law.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from typing import Callable, NamedTuple
 
 from .abelian import CapExceeded, Coords, FiniteAbelianGroup, _Frozen
 from .abelian import check_int, make_group
-from .heis import ThetaGroup, theta_group
+from .heis import ThetaGroup, _sanity_sweep, theta_group
 from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, max_abelian_order
 from .symplectic import structural_min_abelian_index
 
 SCHEMA_VERSION = "theta-jordan/1"
 DEFAULT_THRESHOLDS = (1, 5, 10, 1_000_000)
-SWEEP_ROUNDS = 24
 
 # Test hook: when set, the oracle searches a deliberately wrong (abelianized)
 # multiplication table, which must drive a run's exit code to 1.
@@ -206,48 +206,6 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
             )
         evidence[key] = omax, oidx, mode, disagreement
     return evidence[key]
-
-
-def _sanity_sweep(theta: ThetaGroup, rng: random.Random, label: str) -> list[str]:
-    """Seeded random group-law spot checks; returns violation strings.
-
-    Works at any level because it never enumerates the group: associativity
-    on random triples, inverse law, and the commutator closed-form bridge.
-    It runs the unchecked law on element indices, each drawn as one
-    rng.randrange(order).  Each round checks the eight values the law
-    consumes (g, h, f, gh, hf, g^-1, hg, (hg)^-1) once each, in the order
-    the validated public methods would meet them; messages render elements
-    as ThetaElements.  A product or inverse that leaves the group is a
-    violation too, and it ends the sweep.
-    """
-    out = []
-    n, draw = theta.order, rng.randrange
-    check, mul, inv, parts = theta._check_index, theta._mul, theta._inv, theta._parts
-    for _ in range(SWEEP_ROUNDS):
-        g = draw(n)
-        h = draw(n)
-        f = draw(n)
-        try:
-            check(g)
-            check(h)
-            check(f)
-            gh = check(mul(g, h))
-            hf = check(mul(h, f))
-            if mul(gh, f) != mul(g, hf):
-                out.append(f"associativity failed at {parts(g)}, {parts(h)}, "
-                           f"{parts(f)}")
-            g_inv = check(inv(g))
-            if mul(g, g_inv) != 0:  # the identity is index 0
-                out.append(f"inverse law failed at {parts(g)}")
-            hg = check(mul(h, g))
-            theta._bridge(g, h, gh, hg)
-        except RuntimeError as exc:
-            out.append(str(exc))
-        except ValueError as exc:
-            out.append(f"{label}: group law left the group at {parts(g)}, "
-                       f"{parts(h)}, {parts(f)}: {exc}")
-            break
-    return out
 
 
 def verify_level(level: LevelData, mode: str = "both",

@@ -25,7 +25,7 @@ indices, and the loop is the reference it must equal.  The commutator
 bridge takes its closed form from the base's evaluation pairing
 (FiniteAbelianGroup._pairing, read unchecked on the digits _kl decodes from
 validated indices), not from the law, so a broken law does not break its
-own check.
+own check.  The sanity sweep lives here too, so only heis runs the law.
 
 All values are immutable and all operations are pure functions, so shared
 group descriptions are safe to use concurrently.
@@ -45,6 +45,8 @@ from .abelian import (
     index_tuple,
 )
 from .lattice import ConcreteGroup, Subgroup
+
+SWEEP_ROUNDS = 24
 
 
 class ThetaElement(NamedTuple):
@@ -112,8 +114,8 @@ class ThetaGroup:
         An index past the order keeps its excess in a, as the law left it."""
         return ThetaElement(i // self._mm, *self._kl(i))
 
-    # The law itself is unchecked, on indices: the public methods and the
-    # sanity sweep validate each value once, before the law consumes it.
+    # The law itself is unchecked, on indices: the public methods and
+    # _sanity_sweep validate each value once, before the law consumes it.
 
     def _mul(self, i: int, j: int) -> int:
         """The product's index, one base coordinate at a time: gk and hl are
@@ -305,6 +307,45 @@ class ThetaGroup:
 def theta_group(base: FiniteAbelianGroup) -> ThetaGroup:
     """Theta group of the given base; order |K|^3, identity (0, 0, 0)."""
     return ThetaGroup(base)
+
+
+def _sanity_sweep(theta: ThetaGroup, rng, label: str) -> list[str]:
+    """Seeded random group-law spot checks; returns violation strings.
+
+    Works at any level because it never enumerates the group: associativity
+    on random triples, inverse law, and the commutator closed-form bridge.
+    It runs the unchecked law on element indices g, h and f, each drawn as
+    one rng.randrange(order) and so in range by construction.  Each round
+    checks the five values the law returns (gh, hf, g^-1, hg and, in the
+    bridge, (hg)^-1) once each, before the law consumes them; messages
+    render elements as ThetaElements.  A product or inverse that leaves the
+    group is a violation too, and it ends the sweep.
+    """
+    out = []
+    n, draw = theta.order, rng.randrange
+    check, mul, inv, parts = theta._check_index, theta._mul, theta._inv, theta._parts
+    for _ in range(SWEEP_ROUNDS):
+        g = draw(n)
+        h = draw(n)
+        f = draw(n)
+        try:
+            gh = check(mul(g, h))
+            hf = check(mul(h, f))
+            if mul(gh, f) != mul(g, hf):
+                out.append(f"associativity failed at {parts(g)}, {parts(h)}, "
+                           f"{parts(f)}")
+            g_inv = check(inv(g))
+            if mul(g, g_inv) != 0:  # the identity is index 0
+                out.append(f"inverse law failed at {parts(g)}")
+            hg = check(mul(h, g))
+            theta._bridge(g, h, gh, hg)
+        except RuntimeError as exc:
+            out.append(str(exc))
+        except ValueError as exc:
+            out.append(f"{label}: group law left the group at {parts(g)}, "
+                       f"{parts(h)}, {parts(f)}: {exc}")
+            break
+    return out
 
 
 def format_element(g: ThetaElement) -> str:

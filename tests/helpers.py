@@ -101,6 +101,18 @@ def dihedral_table(n):
     return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
 
 
+def alternating4_table(relabel):
+    """A4 as the even permutations of range(4) in permutations() order,
+    entry (p, q) the index of x -> p[q[x]]; new index i is old element
+    relabel[i].  Index 0 stays the identity when relabel[0] == 0."""
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
+    old = {p: i for i, p in enumerate(even)}
+    new = {o: i for i, o in enumerate(relabel)}
+    return [[new[old[tuple(even[p][even[q][x]] for x in range(4))]]
+             for q in relabel] for p in relabel]
+
+
 def table_census(mul, identity=0):
     out = Counter()
     for g in range(len(mul)):

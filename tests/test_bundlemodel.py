@@ -11,7 +11,6 @@ from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
     BoundViolation,
     DiffeoClass,
-    _sanity_sweep,
     build_class_report,
     diffeo_class,
     document,
@@ -26,7 +25,7 @@ from thetajordan.bundlemodel import (
     verify_level,
 )
 from thetajordan.cli import EXIT_VIOLATION, main
-from thetajordan.heis import ThetaElement, ThetaGroup, theta_group
+from thetajordan.heis import ThetaElement, ThetaGroup, _sanity_sweep, theta_group
 
 
 class TestTorsionGroup:
@@ -324,6 +323,14 @@ def _cubic_inv(self, g):
 def _off_by_one_inv(self, g):
     right = _correct_inv(self, g)
     return right._replace(a=(right.a + 1) % self.m)
+
+
+def _leaky_inv(self, g):
+    """The closed-form inverse, with m added to its central exponent when
+    g.k is zero: out of range, though the law's reduction mod m absorbs it
+    in g g^-1, so only a check of g^-1 itself sees the leak at such a g."""
+    right = _correct_inv(self, g)
+    return right._replace(a=right.a + self.m * (not any(g.k)))
 
 
 def _symmetric_mul(self, g, h):

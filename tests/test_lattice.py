@@ -20,6 +20,7 @@ from thetajordan.lattice import (
 from thetajordan.symplectic import max_isotropic_order, pairing_space
 
 from helpers import (
+    alternating4_table,
     concrete_mul_table,
     cyclic_table,
     dihedral_table,
@@ -116,6 +117,21 @@ class TestConcreteGroup:
         assert closure(G, [True]).members == (0, 1)
         assert is_subgroup(G, [False, True])
         assert is_abelian(G, Subgroup((True, False)))
+
+    # a bool index is stored and rendered as 0 or 1, as check_int does for
+    # scalars; repr tells them apart, since False == 0 and True == 1
+
+    def test_bool_identity_is_stored_as_int(self):
+        G = ConcreteGroup([(0, 1), (1, 0)], identity=False)
+        assert repr(G.identity) == "0"
+
+    def test_bool_index_is_described_as_int(self):
+        assert ConcreteGroup(cyclic_table(3)).describe(True) == "1"
+        theta = concrete_theta([2])
+        assert theta.describe(True) == theta.describe(1) == "(0; 0; 1)"
+
+    def test_bool_members_are_stored_as_ints(self):
+        assert repr(Subgroup([True, 0])) == "Subgroup(members=(0, 1))"
 
     def test_table_cannot_change_after_verification(self):
         table = cyclic_table(3)
@@ -333,6 +349,17 @@ class TestMaxAbelianOracle:
         table = dihedral_table(6)
         G = ConcreteGroup(table)
         assert max_abelian_order(G) == naive_max_abelian_order(table) == 6
+
+    def test_a4_prune_is_exact(self):
+        # A4 has a trivial center, maximal abelian subgroups V4 (order 4)
+        # and four C3, and no subgroup of order 6.  Under this labelling the
+        # search finds a C3 first, and then the branch that holds V4 has a
+        # related set of exactly 4 elements: pruning at <= best + 1 instead
+        # of <= best would drop it and answer 3
+        table = alternating4_table([0, 8, 7, 9, 3, 1, 11, 4, 6, 10, 2, 5])
+        G = ConcreteGroup(table)
+        assert max(s.order for s in all_subgroups(G) if is_abelian(G, s)) == 4
+        assert max_abelian_order(G) == naive_max_abelian_order(table) == 4
 
     def test_quotient_search_matches_direct_search(self):
         # the search on G/Z against the same pruned search on G itself, with

@@ -13,8 +13,14 @@ from itertools import product
 import pytest
 
 from thetajordan.abelian import FiniteAbelianGroup, make_group
-from thetajordan.bundlemodel import SWEEP_ROUNDS, _sanity_sweep, level_data
-from thetajordan.heis import ThetaElement, ThetaGroup, theta_group
+from thetajordan.bundlemodel import level_data
+from thetajordan.heis import (
+    SWEEP_ROUNDS,
+    ThetaElement,
+    ThetaGroup,
+    _sanity_sweep,
+    theta_group,
+)
 
 import test_bundlemodel
 from helpers import divisor_chains
@@ -325,6 +331,7 @@ LAWS = {
     "symmetric": {"_mul": on_indices(test_bundlemodel._symmetric_mul),
                   "_inv": on_indices(test_bundlemodel._symmetric_inv)},
     "leaky": {"_mul": on_indices(test_bundlemodel._leaky_mul)},
+    "leaky inverse": {"_inv": on_indices(test_bundlemodel._leaky_inv)},
 }
 
 
@@ -363,15 +370,17 @@ class TestSweepAgainstReference:
         # a broken law must show, or the comparison proves little
         assert (violations == 0) == (law == "correct")
 
-    def test_eight_checks_per_round(self, monkeypatch):
-        # the sweep makes eight int checks and no element check per round;
-        # the reference makes 18 element checks through the public methods
+    def test_five_checks_per_round(self, monkeypatch):
+        # the sweep checks the five indices the law returns (gh, hf, g^-1,
+        # hg, (hg)^-1) and makes no element check per round: g, h and f are
+        # drawn in range.  The reference makes 18 element checks through
+        # the public methods
         ints = counting_checks(monkeypatch, names=("_check_index",))
         elements = counting_checks(monkeypatch, names=("check_element",))
         for theta in self.THETAS:
             ints[0] = elements[0] = 0
             assert _sanity_sweep(theta, random.Random(3), "level 5") == []
-            assert (ints[0], elements[0]) == (8 * SWEEP_ROUNDS, 0)
+            assert (ints[0], elements[0]) == (5 * SWEEP_ROUNDS, 0)
             ints[0] = 0
             ref_sweep(theta, random.Random(3), "level 5")
             assert (ints[0], elements[0]) == (0, 18 * SWEEP_ROUNDS)
