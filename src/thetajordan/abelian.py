@@ -189,14 +189,14 @@ class FiniteAbelianGroup(_Frozen):
 def index_tuple(values, n: int | None, what: str = "index") -> tuple[int, ...]:
     """values as a tuple of element indices of a group of order n.
 
-    An index is a Python int (bools count) in 0..n-1; n None checks only
-    that.  Anything else raises ValueError naming `what`.  A tuple comes
-    back as is, without a copy, so tables keep immutable tuple rows.
+    An index is a Python int in 0..n-1; n None checks only that.  A value
+    that is not a plain int goes through check_int: a bool comes back as 0
+    or 1, anything else raises ValueError naming `what`.  A tuple of plain
+    ints comes back as is, without a copy, so tables keep tuple rows.
     """
     t = tuple(values)
-    if not all(map(int.__instancecheck__, t)):
-        for v in t:
-            check_int(v, what)
+    if not {int}.issuperset(map(type, t)):
+        t = tuple([check_int(v, what) for v in t])
     if n is not None and t and (min(t) < 0 or max(t) >= n):
         bad = next(v for v in t if not 0 <= v < n)
         raise ValueError(f"{what} {bad} out of range 0..{n - 1}")

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 from .abelian import CapExceeded, Coords, FiniteAbelianGroup, _Frozen
 from .abelian import check_int, make_group
 from .heis import ThetaGroup, _sanity_sweep, theta_group
-from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, max_abelian_order
+from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, min_abelian_index
 from .symplectic import structural_min_abelian_index
 
 SCHEMA_VERSION = "theta-jordan/1"
@@ -117,11 +117,15 @@ class LevelData(NamedTuple):
         return self.base.spec_string()
 
 
+def level_for_base(base: FiniteAbelianGroup) -> LevelData:
+    """The level over base K: n = |K|, torsion order n^2, theta over K."""
+    n = base.order
+    return LevelData(n=n, torsion_order=n * n, base=base, theta=theta_group(base))
+
+
 def level_data(n: int) -> LevelData:
     """Level n: cyclic base of order n, theta group of order n^3."""
-    n = check_int(n, "level", 1)
-    base = make_group([n])
-    return LevelData(n=n, torsion_order=n * n, base=base, theta=theta_group(base))
+    return level_for_base(make_group([check_int(n, "level", 1)]))
 
 
 def family_for_class(cls: DiffeoClass, n_max: int) -> list[LevelData]:
@@ -176,7 +180,8 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     mode 'oracle' runs the exhaustive subgroup search, 'structural' uses the
     closed form, and 'both' runs both and records any disagreement; above
     the oracle cap either mode falls back to the closed form, and so does a
-    level whose table fails its group check, which is recorded as well.
+    level whose table fails its group check or whose search maximum does
+    not divide the order, which is recorded as well.
     Calls that share an `evidence` dict run each level's oracle search once;
     it keeps these tuples, never a table, and never changes a result.
     """
@@ -195,8 +200,13 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
             evidence[key] = (structural_max, structural_idx, "structural",
                              f"{level.label}: theta table is not a group: {exc}")
             return evidence[key]
-        omax = max_abelian_order(table, oracle_cap)
-        oidx = theta.order // omax
+        try:
+            oidx = min_abelian_index(table, oracle_cap)
+        except RuntimeError as exc:  # a search maximum that breaks Lagrange
+            evidence[key] = (structural_max, structural_idx, "structural",
+                             f"{level.label}: oracle search failed: {exc}")
+            return evidence[key]
+        omax = theta.order // oidx
         disagreement = None
         if mode == "both" and (omax, oidx) != (structural_max, structural_idx):
             disagreement = (

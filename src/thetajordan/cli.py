@@ -13,16 +13,15 @@ from typing import NamedTuple
 from .abelian import CapExceeded, ENUMERATION_CAP, parse_group_spec
 from .bundlemodel import (
     DiffeoClass,
-    LevelData,
     VerificationReport,
     build_class_report,
     document,
+    level_for_base,
     render_csv,
     render_json,
     render_table,
     verify_level,
 )
-from .heis import theta_group
 from .lattice import DEFAULT_ORACLE_CAP
 
 EXIT_OK = 0
@@ -122,21 +121,14 @@ def _config_echo(config: RunConfig) -> dict:
 def _base_group_report(config: RunConfig):
     """Single-group run for --base-group; the bound target is |K|."""
     base = parse_group_spec(config.base_group)
-    cls = DiffeoClass(base.order % 2)
-    level = LevelData(
-        n=base.order,
-        torsion_order=base.order ** 2,
-        base=base,
-        theta=theta_group(base),
-    )
     entry, violations = verify_level(
-        level,
+        level_for_base(base),
         mode=config.mode,
         oracle_cap=config.oracle_cap,
         seed=config.seed,
         with_timing=not config.no_timestamps,
     )
-    return VerificationReport(cls, (entry,), ()), violations
+    return VerificationReport(DiffeoClass(base.order % 2), (entry,), ()), violations
 
 
 def run(config: RunConfig):

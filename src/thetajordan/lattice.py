@@ -44,8 +44,7 @@ class ConcreteGroup:
                      for row in mul_table]
         if set(map(len, self._mul)) != {n}:
             raise ValueError("malformed multiplication table")
-        index_tuple((identity,), n, "identity index")
-        self.identity = int(identity)  # a bool is stored as 0 or 1
+        self.identity = index_tuple((identity,), n, "identity index")[0]
         if inv_table is None:
             self._inv = self._derive_inverses()
         else:
@@ -106,8 +105,8 @@ class ConcreteGroup:
         return self._mul[i][j] == self._mul[j][i]
 
     def describe(self, i: int) -> str:
-        index_tuple((i,), self.order, "element index")
-        return (self._describe or str)(int(i))  # True renders as 1 does
+        i, = index_tuple((i,), self.order, "element index")
+        return (self._describe or str)(i)
 
     def centralizer_masks(self) -> list[int]:
         """masks[g] has bit h set iff g and h commute."""
@@ -138,7 +137,7 @@ class Subgroup(_Frozen):
     _field = "members"
 
     def __init__(self, members: Iterable[int]):
-        ms = tuple(sorted(set(map(int, index_tuple(members, None, "member")))))
+        ms = tuple(sorted(set(index_tuple(members, None, "member"))))
         object.__setattr__(self, "members", ms)
 
     @property

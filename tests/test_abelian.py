@@ -11,6 +11,7 @@ from thetajordan.abelian import (
     CapExceeded,
     FiniteAbelianGroup,
     check_int,
+    index_tuple,
     is_pairing_nondegenerate,
     make_group,
     parse_group_spec,
@@ -166,6 +167,21 @@ class TestCheckInt:
         with pytest.raises(ValueError, match="^order False must be >= 1$"):
             check_int(False, "order", 1)
         assert check_int(-5, "offset") == -5  # no least, no lower bound
+
+
+class TestIndexTuple:
+    def test_plain_ints_are_not_copied(self):
+        t = (0, 2, 1)
+        assert index_tuple(t, 3) is t
+        assert index_tuple([0, 2, 1], 3) == t
+
+    def test_other_ints_come_back_as_plain_ints(self):
+        class Small(int):
+            pass
+
+        got = index_tuple([True, 0, False, Small(1)], 2)
+        assert got == (1, 0, 0, 1)
+        assert set(map(type, got)) == {int}
 
 
 class TestArithmetic:
@@ -344,6 +360,16 @@ class TestNondegeneracy:
     def test_all_types_up_to_16(self):
         for fs in divisor_chains(16):
             assert is_pairing_nondegenerate(FiniteAbelianGroup(fs))
+
+    # a well-formed group never trips the two rejections; patched pairings
+    # that kill a point on one side reach each of them
+    @pytest.mark.parametrize("pairing", [
+        lambda self, l, x, m=None: 0,  # no character sees x = 1
+        lambda self, l, x, m=None: x[0] if l == (0,) else 0,  # l = 1 sees nothing
+    ], ids=["point side", "character side"])
+    def test_degenerate_pairing_is_detected(self, monkeypatch, pairing):
+        monkeypatch.setattr(FiniteAbelianGroup, "evaluate", pairing)
+        assert not is_pairing_nondegenerate(make_group([2]))
 
     def test_characters_give_distinct_functions(self):
         for fs in divisor_chains(12):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from thetajordan import bundlemodel
+from thetajordan import bundlemodel, lattice
 from thetajordan.abelian import FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
@@ -17,6 +17,7 @@ from thetajordan.bundlemodel import (
     family_for_class,
     jordan_certificate,
     level_data,
+    level_for_base,
     render_csv,
     render_json,
     render_table,
@@ -105,6 +106,14 @@ class TestLevelData:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             level_data(0)
+
+    def test_level_for_base(self):
+        # the one derivation of a level: level_data and --base-group share it
+        base = make_group([4, 2])
+        lv = level_for_base(base)
+        assert (lv.n, lv.torsion_order, lv.base) == (8, 64, base)
+        assert (lv.theta, lv.label) == (theta_group(base), "Z2xZ4")
+        assert level_for_base(make_group([5])) == level_data(5)
 
 
 class TestLevelArguments:
@@ -542,6 +551,26 @@ class TestSanitySweep:
                                   f"the bound {n} (structural)"]
         else:
             assert (code, violations) == (0, [])
+
+    @pytest.mark.parametrize("mode", ["oracle", "both"])
+    def test_search_maximum_off_lagrange_exits_1(self, monkeypatch, capsys,
+                                                 mode):
+        # no subgroup of order 27 has order 7: the index is read through
+        # min_abelian_index's Lagrange check, the failure is a violation of
+        # that level, and the entry answers from the closed form
+        search = lattice.max_abelian_order
+        monkeypatch.setattr(lattice, "max_abelian_order",
+                            lambda G, cap: 7 if G.order == 27 else search(G, cap))
+        code = main(["verify", "--base-group", "Z3", "--mode", mode,
+                     "--format", "json", "--no-timestamps"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_VIOLATION, "")
+        doc = json.loads(out)
+        entry = doc["reports"][0]["entries"][0]
+        assert (entry["max_abelian_order"], entry["min_abelian_index"],
+                entry["method"]) == (9, 3, "structural")
+        assert doc["violations"] == ["level 3: oracle search failed: abelian "
+                                     "maximum 7 does not divide the order 27"]
 
     def test_broken_table_is_returned_not_raised(self, monkeypatch):
         for name, fn in BROKEN_TABLES["cubic"].items():

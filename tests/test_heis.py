@@ -33,6 +33,10 @@ class TestConstruction:
         assert len(theta([2]).elements()) == 8
         assert len(theta([3]).elements()) == 27
 
+    def test_repr_names_the_base(self):
+        assert repr(theta([4, 2])) == "ThetaGroup(Z2xZ4)"
+        assert repr(theta([1])) == "ThetaGroup(Z1)"
+
     def test_base_factor_divides_m(self):
         for fs in ([2], [4, 2], [2, 2, 2], [6]):
             G = theta(fs)

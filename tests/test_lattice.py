@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -133,6 +134,11 @@ class TestConcreteGroup:
     def test_bool_members_are_stored_as_ints(self):
         assert repr(Subgroup([True, 0])) == "Subgroup(members=(0, 1))"
 
+    def test_bool_table_entries_are_stored_as_ints(self):
+        G = ConcreteGroup([[False, True], [True, False]], inv_table=[False, True])
+        assert repr((G.mul(0, 1), G.mul(1, 1), G.inv(0), G.inv(1))) == "(1, 0, 0, 1)"
+        assert json.dumps(G.mul(0, 1)) == "1"
+
     def test_table_cannot_change_after_verification(self):
         table = cyclic_table(3)
         G = ConcreteGroup(table)
@@ -249,6 +255,15 @@ class TestClosure:
             assert is_subgroup(G, S.members)
             assert G.order % S.order == 0  # Lagrange
 
+    def test_size_off_lagrange_raises(self, monkeypatch):
+        # a verified table never trips this guard; a patched generation that
+        # reaches 2 of Z3's 3 elements does
+        G = ConcreteGroup(cyclic_table(3))
+        monkeypatch.setattr(lattice, "_generate", lambda mul, seed, e: ([1], 0b11))
+        with pytest.raises(RuntimeError,
+                           match="^closure of size 2 does not divide the group order 3$"):
+            closure(G, [1])
+
     def test_matches_naive_closure(self):
         tables = [
             concrete_mul_table(concrete_theta([3])),
@@ -276,6 +291,12 @@ class TestIsSubgroup:
         G = ConcreteGroup(cyclic_table(4))  # {0, 2} is a subgroup
         with pytest.raises(ValueError, match="element index 2.9 is not an integer"):
             is_subgroup(G, [0, 2.9])
+
+    # the three rejections, in Z6: no identity, a member without its
+    # inverse (1 without 5), and a product outside (1 * 1 = 2)
+    @pytest.mark.parametrize("members", [[1], [0, 1], [0, 1, 5]])
+    def test_rejects_non_subgroup(self, members):
+        assert not is_subgroup(ConcreteGroup(cyclic_table(6)), members)
 
     def test_subgroup_rejects_float_member(self):
         with pytest.raises(ValueError, match="member 2.5 is not an integer"):
@@ -438,6 +459,13 @@ class TestMinAbelianIndex:
     def test_exact_up_to_5(self):
         for n in range(1, 6):
             assert min_abelian_index(concrete_theta([n] if n > 1 else [1])) == n
+
+    def test_maximum_off_lagrange_raises(self, monkeypatch):
+        # a correct search never trips this guard; a patched one does
+        monkeypatch.setattr(lattice, "max_abelian_order", lambda G, cap: 4)
+        with pytest.raises(RuntimeError,
+                           match="^abelian maximum 4 does not divide the order 6$"):
+            min_abelian_index(ConcreteGroup(cyclic_table(6)))
 
 
 class TestOrderSequence:

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from thetajordan import symplectic
 from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
 from thetajordan.heis import ThetaElement, theta_group
 from thetajordan.lattice import all_subgroups, is_abelian
@@ -182,6 +183,18 @@ class TestMaxIsotropic:
             brute = max_isotropic_order(P, method="brute")
             structural = max_isotropic_order(P, method="structural")
             assert brute == structural == P.base.order
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown method 'exact'$"):
+            max_isotropic_order(space([2]), method="exact")
+
+    def test_disagreement_raises(self, monkeypatch):
+        # a correct search never trips this guard; a patched one that finds
+        # only the zero point does
+        monkeypatch.setattr(symplectic, "_max_related", lambda mul, rel, start: 1)
+        with pytest.raises(RuntimeError, match="^brute-force isotropic maximum 1 "
+                                               "disagrees with the structural value 2$"):
+            max_isotropic_order(space([2]))
 
     def test_brute_cap(self):
         too_big = "^pairing space of order 900 exceeds the cap 512$"
