@@ -17,6 +17,7 @@ import io
 import json
 import os
 import random
+from collections import Counter
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -168,14 +169,25 @@ def _oracle_table(theta: ThetaGroup, cap: int) -> ConcreteGroup:
     return theta.to_concrete(cap)
 
 
-def _check_mode(mode: str) -> None:
+def _check_run(mode: str, oracle_cap: int) -> int:
+    """The oracle cap as an int; ValueError naming a bad mode or cap."""
     if mode not in ("oracle", "structural", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    return check_int(oracle_cap, "oracle cap")
+
+
+class _Evidence(NamedTuple):
+    """One level's index evidence; violation is None or an unlabelled message."""
+
+    max_abelian_order: int
+    min_abelian_index: int
+    method: str
+    violation: str | None
 
 
 def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
-                    evidence: dict | None = None):
-    """(max_abelian_order, min_index, method, violation-or-None).
+                    evidence: dict | None = None) -> _Evidence:
+    """The level's _Evidence, for a mode and an int cap the caller checked.
 
     mode 'oracle' runs the exhaustive subgroup search, 'structural' uses the
     closed form, and 'both' runs both and records any disagreement; above
@@ -183,38 +195,33 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     level whose table fails its group check or whose search maximum does
     not divide the order, which is recorded as well.
     Calls that share an `evidence` dict run each level's oracle search once;
-    it keeps these tuples, never a table, and never changes a result.
+    it keeps these records, never a table, and never changes a result.
     """
-    _check_mode(mode)
     theta = level.theta
-    structural_idx = structural_min_abelian_index(theta.base)
-    structural_max = theta.order // structural_idx
-    if mode == "structural" or theta.order > check_int(oracle_cap, "oracle cap"):
-        return structural_max, structural_idx, "structural", None
+    sidx = structural_min_abelian_index(theta.base)
+    structural = _Evidence(theta.order // sidx, sidx, "structural", None)
+    if mode == "structural" or theta.order > oracle_cap:
+        return structural
     evidence = {} if evidence is None else evidence
     key = (level, mode)
     if key not in evidence:
         try:
             table = _oracle_table(theta, oracle_cap)
         except ValueError as exc:  # the law's own table: a broken law fails here
-            evidence[key] = (structural_max, structural_idx, "structural",
-                             f"{level.label}: theta table is not a group: {exc}")
-            return evidence[key]
+            return evidence.setdefault(key, structural._replace(
+                violation=f"theta table is not a group: {exc}"))
         try:
             oidx = min_abelian_index(table, oracle_cap)
         except RuntimeError as exc:  # a search maximum that breaks Lagrange
-            evidence[key] = (structural_max, structural_idx, "structural",
-                             f"{level.label}: oracle search failed: {exc}")
-            return evidence[key]
+            return evidence.setdefault(key, structural._replace(
+                violation=f"oracle search failed: {exc}"))
         omax = theta.order // oidx
         disagreement = None
-        if mode == "both" and (omax, oidx) != (structural_max, structural_idx):
-            disagreement = (
-                f"{level.label}: oracle max abelian order {omax} (index "
-                f"{oidx}) disagrees with structural {structural_max} "
-                f"(index {structural_idx})"
-            )
-        evidence[key] = omax, oidx, mode, disagreement
+        if mode == "both" and oidx != sidx:  # omax is order // oidx
+            disagreement = (f"oracle max abelian order {omax} (index {oidx}) "
+                            f"disagrees with structural {theta.order // sidx} "
+                            f"(index {sidx})")
+        evidence[key] = _Evidence(omax, oidx, mode, disagreement)
     return evidence[key]
 
 
@@ -223,40 +230,32 @@ def verify_level(level: LevelData, mode: str = "both",
                  with_timing: bool = True, evidence: dict | None = None):
     """Verify one level; returns (ReportEntry, violation strings).
 
-    An unknown mode raises ValueError, and in mode 'oracle' a level above
-    the oracle cap raises CapExceeded, before the sweep runs.
+    A bad mode or cap raises ValueError, and in mode 'oracle' a level above
+    the cap raises CapExceeded, before the sweep runs.  Violations start
+    with the level's label; repeats collapse to one, '(c times)'.
     """
     check_int(seed, "seed")
-    _check_mode(mode)
+    oracle_cap = _check_run(mode, oracle_cap)
     order = level.theta.order
-    if mode == "oracle" and order > check_int(oracle_cap, "oracle cap"):
+    if mode == "oracle" and order > oracle_cap:
         raise CapExceeded(
             f"{level.label}: theta group order {order} exceeds the "
             f"oracle cap {oracle_cap}; use mode 'structural'"
         )
     start = perf_counter()
     rng = random.Random(seed * 1_000_003 + level.n)
-    violations = _sanity_sweep(level.theta, rng, level.label)
-    maxab, idx, method, disagreement = _index_evidence(
-        level, mode, oracle_cap, evidence=evidence
-    )
-    if disagreement:
-        violations.append(disagreement)
-    if idx < level.n:
-        violations.append(
-            f"{level.label}: min abelian index {idx} is below the bound "
-            f"{level.n} ({method})"
-        )
+    messages = _sanity_sweep(level.theta, rng)
+    ev = _index_evidence(level, mode, oracle_cap, evidence)
+    if ev.violation:
+        messages.append(ev.violation)
+    if ev.min_abelian_index < level.n:
+        messages.append(f"min abelian index {ev.min_abelian_index} is below "
+                        f"the bound {level.n} ({ev.method})")
+    violations = [f"{level.label}: {msg}" + (f" ({c} times)" if c > 1 else "")
+                  for msg, c in Counter(messages).items()] if messages else []
     elapsed = round(perf_counter() - start, 6) if with_timing else None
-    entry = ReportEntry(
-        n=level.n,
-        group_order=level.theta.order,
-        max_abelian_order=maxab,
-        min_abelian_index=idx,
-        method=method,
-        elapsed_s=elapsed,
-    )
-    return entry, violations
+    return ReportEntry(level.n, order, ev.max_abelian_order,
+                       ev.min_abelian_index, ev.method, elapsed), violations
 
 
 def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
@@ -269,26 +268,23 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
     BoundViolation if the evidence fails to beat the threshold.
     """
     threshold = check_int(threshold, "threshold", 1)
+    oracle_cap = _check_run(mode, oracle_cap)
     n = threshold + 1
     if n % 2 != cls.parity:
         n += 1
     level = level_data(n)
-    _, idx, method, disagreement = _index_evidence(level, mode, oracle_cap, evidence)
-    if disagreement:
+    ev = _index_evidence(level, mode, oracle_cap, evidence)
+    idx = ev.min_abelian_index
+    if ev.violation:
         # prefixed, so it does not repeat the entry's violation word for word
-        raise BoundViolation(f"threshold {threshold}: {disagreement}")
+        raise BoundViolation(f"threshold {threshold}: {level.label}: "
+                             f"{ev.violation}")
     if not (idx >= level.n > threshold):
         raise BoundViolation(
             f"certificate failed: index {idx} at level {n} does not exceed "
             f"threshold {threshold}"
         )
-    return Certificate(
-        threshold=threshold,
-        n=n,
-        group_order=level.theta.order,
-        min_abelian_index=idx,
-        method=method,
-    )
+    return Certificate(threshold, n, level.theta.order, idx, ev.method)
 
 
 def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
@@ -302,6 +298,7 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
     first pass strict=False and handle the violation list themselves.
     """
     check_int(seed, "seed")
+    _check_run(mode, oracle_cap)
     entries = []
     violations: list[str] = []
     evidence: dict = {}  # certificates reuse the entries' oracle searches

@@ -15,7 +15,7 @@ The law runs on element indices: the mixed-radix index a*m^2 + rank(k)*m
 + rank(l) that index() defines and the tables use, where rank is the base's
 one codec (FiniteAbelianGroup._rank, the position in elements()), so a
 value check is one int test and one range compare.  ThetaElement appears
-only at the public boundary: arguments, results and messages.  _mul and
+only at the public boundary: arguments and results.  _mul and
 _inv are the one formula of the law: to_concrete reads its tables off them.
 Every rank runs one loop over the digits of the indices, coordinate by
 coordinate, at the base's place values, with <l', k> = sum l'_t k_t m/d_t
@@ -114,6 +114,10 @@ class ThetaGroup:
         An index past the order keeps its excess in a, as the law left it."""
         return ThetaElement(i // self._mm, *self._kl(i))
 
+    def _show(self, *indices: int) -> str:
+        """Unchecked indices as format_element renders their elements."""
+        return ", ".join(format_element(self._parts(i)) for i in indices)
+
     # The law itself is unchecked, on indices: the public methods and
     # _sanity_sweep validate each value once, before the law consumes it.
 
@@ -163,8 +167,8 @@ class ThetaGroup:
         closed = (pairing(hl, gk) - pairing(gl, hk)) % self.m * self._mm
         if direct != closed:
             raise RuntimeError(
-                f"commutator mismatch: definitional {self._parts(direct)} "
-                f"vs closed form {self._parts(closed)}"
+                f"commutator mismatch: definitional {self._show(direct)} "
+                f"vs closed form {self._show(closed)}"
             )
         return direct
 
@@ -274,9 +278,9 @@ class ThetaGroup:
         for x in range(n):
             cx = (x + mm) % n
             if check(mul(c, x)) != cx or check(mul(x, c)) != cx:
-                c_, x_, cx_ = (format_element(self._parts(i)) for i in (c, x, cx))
-                raise ValueError(f"the central element {c_} does not rotate "
-                                 f"{x_} to {cx_} on both sides")
+                show = self._show
+                raise ValueError(f"the central element {show(c)} does not "
+                                 f"rotate {show(x)} to {show(cx)} on both sides")
         ranks = range(m)
         vals = list(range(n))
         rotations = [vals[a * mm:] + vals[:a * mm] for a in ranks]
@@ -309,8 +313,9 @@ def theta_group(base: FiniteAbelianGroup) -> ThetaGroup:
     return ThetaGroup(base)
 
 
-def _sanity_sweep(theta: ThetaGroup, rng, label: str) -> list[str]:
-    """Seeded random group-law spot checks; returns violation strings.
+def _sanity_sweep(theta: ThetaGroup, rng) -> list[str]:
+    """Seeded random group-law spot checks; returns violation messages,
+    which name no level: the caller labels them.
 
     Works at any level because it never enumerates the group: associativity
     on random triples, inverse law, and the commutator closed-form bridge.
@@ -318,12 +323,12 @@ def _sanity_sweep(theta: ThetaGroup, rng, label: str) -> list[str]:
     one rng.randrange(order) and so in range by construction.  Each round
     checks the five values the law returns (gh, hf, g^-1, hg and, in the
     bridge, (hg)^-1) once each, before the law consumes them; messages
-    render elements as ThetaElements.  A product or inverse that leaves the
-    group is a violation too, and it ends the sweep.
+    render elements with format_element.  A product or inverse that leaves
+    the group is a violation too, and it ends the sweep.
     """
     out = []
     n, draw = theta.order, rng.randrange
-    check, mul, inv, parts = theta._check_index, theta._mul, theta._inv, theta._parts
+    check, mul, inv, show = theta._check_index, theta._mul, theta._inv, theta._show
     for _ in range(SWEEP_ROUNDS):
         g = draw(n)
         h = draw(n)
@@ -332,18 +337,16 @@ def _sanity_sweep(theta: ThetaGroup, rng, label: str) -> list[str]:
             gh = check(mul(g, h))
             hf = check(mul(h, f))
             if mul(gh, f) != mul(g, hf):
-                out.append(f"associativity failed at {parts(g)}, {parts(h)}, "
-                           f"{parts(f)}")
+                out.append(f"associativity failed at {show(g, h, f)}")
             g_inv = check(inv(g))
             if mul(g, g_inv) != 0:  # the identity is index 0
-                out.append(f"inverse law failed at {parts(g)}")
+                out.append(f"inverse law failed at {show(g)}")
             hg = check(mul(h, g))
             theta._bridge(g, h, gh, hg)
         except RuntimeError as exc:
             out.append(str(exc))
         except ValueError as exc:
-            out.append(f"{label}: group law left the group at {parts(g)}, "
-                       f"{parts(h)}, {parts(f)}: {exc}")
+            out.append(f"group law left the group at {show(g, h, f)}: {exc}")
             break
     return out
 

@@ -223,10 +223,17 @@ class TestVerifyLevel:
 
     @pytest.mark.parametrize("cap", [None, "512", 512.0])
     def test_oracle_cap_is_named(self, cap):
+        # every public entry point checks the cap in every mode, also where
+        # no level of the call would reach the oracle
         msg = re.escape(f"oracle cap {cap!r} is not an integer")
-        for mode in ("both", "oracle"):
+        for mode in ("both", "oracle", "structural"):
             with pytest.raises(ValueError, match=msg):
                 verify_level(level_data(2), mode, oracle_cap=cap)
+            with pytest.raises(ValueError, match=msg):
+                jordan_certificate(DiffeoClass(0), 1, mode, oracle_cap=cap)
+            with pytest.raises(ValueError, match=msg):
+                build_class_report(DiffeoClass(0), 1, mode, oracle_cap=cap,
+                                   thresholds=())
 
     def test_oracle_cap_error(self):
         from thetajordan.abelian import CapExceeded
@@ -237,6 +244,12 @@ class TestVerifyLevel:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode 'orakle'"):
             verify_level(level_data(2), mode="orakle")
+        # class 0 up to level 1 has no level, and no threshold is asked for
+        with pytest.raises(ValueError, match="unknown mode 'orakle'"):
+            build_class_report(DiffeoClass(0), 1, mode="orakle",
+                               oracle_cap="x", thresholds=())
+        with pytest.raises(ValueError, match="oracle cap 'x' is not"):
+            build_class_report(DiffeoClass(0), 1, oracle_cap="x", thresholds=())
 
     def test_unknown_mode_before_the_sweep(self, monkeypatch):
         swept = []
@@ -433,7 +446,7 @@ class TestSanitySweep:
 
     @staticmethod
     def sweep(theta, seed=7):
-        return _sanity_sweep(theta, random.Random(seed), "level 5")
+        return _sanity_sweep(theta, random.Random(seed))
 
     @staticmethod
     def kinds(violations):
@@ -491,6 +504,38 @@ class TestSanitySweep:
             # the oracle searched the law's own table, which is abelian
             entry = json.loads(out)["reports"][0]["entries"][0]
             assert entry["min_abelian_index"] == 1
+
+    @staticmethod
+    def zero_twist_violations(monkeypatch, capsys, *args):
+        for name, law in _twisted_law(_zero_twist).items():
+            monkeypatch.setattr(ThetaGroup, name, law)
+        code = main(["verify", *args, "--mode", "structural",
+                     "--format", "json", "--no-timestamps"])
+        out, _ = capsys.readouterr()
+        assert code == EXIT_VIOLATION
+        return json.loads(out)["violations"]
+
+    def test_repeats_within_a_level_collapse(self, monkeypatch, capsys):
+        # 14 of the sweep's rounds on Z2xZ2 fail the bridge with one message
+        violations = self.zero_twist_violations(monkeypatch, capsys,
+                                                "--base-group", "Z2xZ2")
+        assert violations == [
+            "Z2xZ2: commutator mismatch: definitional (0; 0,0; 0,0) vs closed "
+            "form (2; 0,0; 0,0) (14 times)"
+        ]
+
+    def test_every_violation_names_its_level(self, monkeypatch, capsys):
+        violations = self.zero_twist_violations(monkeypatch, capsys,
+                                                "--max-n", "4")
+        assert violations and len(set(violations)) == len(violations)
+        assert all(v.startswith(("level 2: ", "level 3: ", "level 4: "))
+                   for v in violations)
+        # one message at three levels is three lines: repeats collapse
+        # within a level, never across levels
+        for n in (2, 3, 4):
+            assert [v for v in violations if v.startswith(
+                f"level {n}: commutator mismatch: definitional (0; 0; 0) vs "
+                f"closed form (1; 0; 0) (")]
 
     @pytest.mark.parametrize("law", BROKEN_TABLES)
     @pytest.mark.parametrize("spec", ["Z5", "Z2xZ4"])
@@ -668,6 +713,14 @@ class TestJordanCertificate:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             jordan_certificate(DiffeoClass(0), 0)
+
+    def test_unknown_mode_before_any_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(ThetaGroup, "to_concrete",
+                            lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="unknown mode 'orakle'"):
+            jordan_certificate(DiffeoClass(1), 1, mode="orakle")
+        assert built == []
 
     def test_threshold_must_be_an_integer(self):
         for bad in (1.5, 2.0, "3", None):

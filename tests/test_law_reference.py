@@ -19,6 +19,7 @@ from thetajordan.heis import (
     ThetaElement,
     ThetaGroup,
     _sanity_sweep,
+    format_element,
     theta_group,
 )
 
@@ -269,32 +270,34 @@ def ref_commutator(G, g, h):
     twist = (ref_twist(G, h.l, g.k) - ref_twist(G, g.l, h.k)) % G.m
     closed = ThetaElement(twist, G.base.zero(), G.base.zero())
     if direct != closed:
-        raise RuntimeError(
-            f"commutator mismatch: definitional {direct} vs closed form {closed}"
-        )
+        raise RuntimeError(f"commutator mismatch: definitional "
+                           f"{format_element(direct)} vs closed form "
+                           f"{format_element(closed)}")
     return direct
 
 
-def ref_sweep(theta, rng, label):
+def ref_sweep(theta, rng):
     """The sanity sweep composed of the validated public mul and inv, which
     re-check every operand, so each round makes 18 checks.  It draws each
-    element as the sweep does, as one index rng.randrange(order)."""
+    element as the sweep does, as one index rng.randrange(order), and
+    renders elements with format_element."""
     out = []
     e = theta.identity()
     for _ in range(SWEEP_ROUNDS):
         g = theta.element(rng.randrange(theta.order))
         h = theta.element(rng.randrange(theta.order))
         f = theta.element(rng.randrange(theta.order))
+        at = ", ".join(map(format_element, (g, h, f)))
         try:
             if theta.mul(theta.mul(g, h), f) != theta.mul(g, theta.mul(h, f)):
-                out.append(f"associativity failed at {g}, {h}, {f}")
+                out.append(f"associativity failed at {at}")
             if theta.mul(g, theta.inv(g)) != e:
-                out.append(f"inverse law failed at {g}")
+                out.append(f"inverse law failed at {format_element(g)}")
             ref_commutator(theta, g, h)
         except RuntimeError as exc:
             out.append(str(exc))
         except ValueError as exc:
-            out.append(f"{label}: group law left the group at {g}, {h}, {f}: {exc}")
+            out.append(f"group law left the group at {at}: {exc}")
             break
     return out
 
@@ -303,7 +306,7 @@ def sweep_outcome(sweep, theta, seed):
     """The sweep's violation list, or the exception that escaped it (the
     cubic law indexes k[0], which the trivial base does not have)."""
     try:
-        return "ok", list(map(leak_cut, sweep(theta, random.Random(seed), "level 5")))
+        return "ok", list(map(leak_cut, sweep(theta, random.Random(seed))))
     except Exception as exc:
         return type(exc).__name__, str(exc)
 
@@ -379,10 +382,10 @@ class TestSweepAgainstReference:
         elements = counting_checks(monkeypatch, names=("check_element",))
         for theta in self.THETAS:
             ints[0] = elements[0] = 0
-            assert _sanity_sweep(theta, random.Random(3), "level 5") == []
+            assert _sanity_sweep(theta, random.Random(3)) == []
             assert (ints[0], elements[0]) == (5 * SWEEP_ROUNDS, 0)
             ints[0] = 0
-            ref_sweep(theta, random.Random(3), "level 5")
+            ref_sweep(theta, random.Random(3))
             assert (ints[0], elements[0]) == (0, 18 * SWEEP_ROUNDS)
 
     def test_law_calls_per_round(self, monkeypatch):
@@ -395,7 +398,7 @@ class TestSweepAgainstReference:
         pairings = counting_checks(monkeypatch, FiniteAbelianGroup, ("_pairing",))
         for theta in self.THETAS:
             muls[0] = invs[0] = pairings[0] = 0
-            assert _sanity_sweep(theta, random.Random(3), "level 5") == []
+            assert _sanity_sweep(theta, random.Random(3)) == []
             assert (muls[0], invs[0], pairings[0]) == (
                 7 * SWEEP_ROUNDS, 2 * SWEEP_ROUNDS, 2 * SWEEP_ROUNDS)
 
@@ -405,7 +408,7 @@ class TestSweepAgainstReference:
         # (level 1 has the trivial, rank-0 base and is not among these)
         calls = counting_checks(monkeypatch, FiniteAbelianGroup)
         for n in (2, 5, 12, 1000):
-            assert _sanity_sweep(level_data(n).theta, random.Random(3), "x") == []
+            assert _sanity_sweep(level_data(n).theta, random.Random(3)) == []
         assert calls[0] == 0
 
     def test_commutator_and_element_order_check_each_value_once(self, monkeypatch):
