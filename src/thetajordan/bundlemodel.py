@@ -169,11 +169,20 @@ def _oracle_table(theta: ThetaGroup, cap: int) -> ConcreteGroup:
     return theta.to_concrete(cap)
 
 
-def _check_run(mode: str, oracle_cap: int) -> int:
-    """The oracle cap as an int; ValueError naming a bad mode or cap."""
+def _check_run(mode: str, oracle_cap: int, levels=()) -> int:
+    """The one admission rule, run before any sweep or table: the oracle cap
+    as an int, ValueError naming a bad mode or cap, and in mode 'oracle'
+    (the only mode that reads `levels`) CapExceeded naming the first above it."""
     if mode not in ("oracle", "structural", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    return check_int(oracle_cap, "oracle cap")
+    oracle_cap = check_int(oracle_cap, "oracle cap")
+    if mode == "oracle":
+        for level in levels:
+            if level.theta.order > oracle_cap:
+                raise CapExceeded(
+                    f"{level.label}: theta group order {level.theta.order} exceeds "
+                    f"the oracle cap {oracle_cap}; use mode 'structural'")
+    return oracle_cap
 
 
 class _Evidence(NamedTuple):
@@ -235,13 +244,7 @@ def verify_level(level: LevelData, mode: str = "both",
     with the level's label; repeats collapse to one, '(c times)'.
     """
     check_int(seed, "seed")
-    oracle_cap = _check_run(mode, oracle_cap)
-    order = level.theta.order
-    if mode == "oracle" and order > oracle_cap:
-        raise CapExceeded(
-            f"{level.label}: theta group order {order} exceeds the "
-            f"oracle cap {oracle_cap}; use mode 'structural'"
-        )
+    oracle_cap = _check_run(mode, oracle_cap, (level,))
     start = perf_counter()
     rng = random.Random(seed * 1_000_003 + level.n)
     messages = _sanity_sweep(level.theta, rng)
@@ -254,7 +257,7 @@ def verify_level(level: LevelData, mode: str = "both",
     violations = [f"{level.label}: {msg}" + (f" ({c} times)" if c > 1 else "")
                   for msg, c in Counter(messages).items()] if messages else []
     elapsed = round(perf_counter() - start, 6) if with_timing else None
-    return ReportEntry(level.n, order, ev.max_abelian_order,
+    return ReportEntry(level.n, level.theta.order, ev.max_abelian_order,
                        ev.min_abelian_index, ev.method, elapsed), violations
 
 
@@ -293,16 +296,21 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
                        strict: bool = True, with_timing: bool = True):
     """Report for one parity class; returns (VerificationReport, violations).
 
+    Seed, mode, cap, n_max, each level's size and every threshold, in that
+    order, are checked before the first sweep.
     With strict=True (library default) any violation aborts with a
     BoundViolation diagnostic; callers that need to emit the failing report
     first pass strict=False and handle the violation list themselves.
     """
     check_int(seed, "seed")
-    _check_run(mode, oracle_cap)
+    oracle_cap = _check_run(mode, oracle_cap)  # mode and cap before n_max
+    levels = family_for_class(cls, n_max)
+    _check_run(mode, oracle_cap, levels)
+    thresholds = [check_int(c, "threshold", 1) for c in thresholds]
     entries = []
     violations: list[str] = []
     evidence: dict = {}  # certificates reuse the entries' oracle searches
-    for level in family_for_class(cls, n_max):
+    for level in levels:
         entry, vio = verify_level(
             level, mode, oracle_cap, seed, with_timing, evidence
         )
@@ -366,17 +374,11 @@ def render_csv(doc: dict) -> str:
     import csv  # only this renderer needs it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["class", "n", "group_order", "max_abelian_order",
-         "min_abelian_index", "method", "elapsed_s"]
-    )
+    writer.writerow(["class", *ReportEntry._fields])
     for report in doc["reports"]:
         for e in report["entries"]:
-            writer.writerow(
-                [report["manifold_class"], e["n"], e["group_order"],
-                 e["max_abelian_order"], e["min_abelian_index"], e["method"],
-                 e.get("elapsed_s", "")]
-            )
+            writer.writerow([report["manifold_class"],
+                             *(e.get(field, "") for field in ReportEntry._fields)])
     return buf.getvalue()
 
 
@@ -394,13 +396,10 @@ def render_table(doc: dict) -> str:
         lines.append(
             f"class {report['manifold_class']}: {report['manifold']}"
         )
+        # one heading per ReportEntry field, in field order
         rows = [["n", "|G|", "max abelian", "min index", "method", "elapsed"]]
-        for e in report["entries"]:
-            rows.append(
-                [str(e["n"]), str(e["group_order"]),
-                 str(e["max_abelian_order"]), str(e["min_abelian_index"]),
-                 e["method"], str(e.get("elapsed_s", "-"))]
-            )
+        rows.extend([str(e.get(field, "-")) for field in ReportEntry._fields]
+                    for e in report["entries"])
         lines.extend(_aligned(rows))
         if len(rows) == 1:
             lines.append("  (no levels in range)")

@@ -14,8 +14,10 @@ from .abelian import CapExceeded, ENUMERATION_CAP, parse_group_spec
 from .bundlemodel import (
     DiffeoClass,
     VerificationReport,
+    _check_run,
     build_class_report,
     document,
+    family_for_class,
     level_for_base,
     render_csv,
     render_json,
@@ -145,16 +147,15 @@ def run(config: RunConfig):
             reports.append(report)
             violations.extend(vio)
         else:
-            for parity in config.parities:
+            classes = [DiffeoClass(p) for p in config.parities]
+            # every class is admitted before the first one runs
+            _check_run(config.mode, config.oracle_cap, (level for cls in classes
+                       for level in family_for_class(cls, config.n_max)))
+            for cls in classes:
                 report, vio = build_class_report(
-                    DiffeoClass(parity),
-                    config.n_max,
-                    mode=config.mode,
-                    oracle_cap=config.oracle_cap,
-                    seed=config.seed,
-                    strict=False,
-                    with_timing=not config.no_timestamps,
-                )
+                    cls, config.n_max, mode=config.mode,
+                    oracle_cap=config.oracle_cap, seed=config.seed, strict=False,
+                    with_timing=not config.no_timestamps)
                 reports.append(report)
                 violations.extend(vio)
     except (CapExceeded, ValueError) as exc:

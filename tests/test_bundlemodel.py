@@ -6,7 +6,7 @@ import time
 import pytest
 
 from thetajordan import bundlemodel, lattice
-from thetajordan.abelian import FiniteAbelianGroup, make_group
+from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
     BoundViolation,
@@ -798,3 +798,93 @@ class TestClassReport:
         assert violations == []
         assert built == [8, 64, 216]
         assert [c.n for c in report.threshold_certificates] == [2, 6]
+
+    def test_default_run_builds_seven_tables(self, monkeypatch, capsys):
+        # entries n = 1..6 and the one certificate level the entries do not
+        # cover, n = 7 (class 1, threshold 5); the other certificates land on
+        # entries or lie above the 512 cap, and no table is built twice
+        built = []
+        original = ThetaGroup.to_concrete
+
+        def counting(self, *args, **kwargs):
+            built.append(self.order)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThetaGroup, "to_concrete", counting)
+        assert main(["verify"]) == 0
+        capsys.readouterr()
+        assert sorted(built) == [1, 8, 27, 64, 125, 216, 343]
+
+
+class TestAdmission:
+    """Every input of a run is checked before its first sweep or table."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        # records each sweep and table build, and still runs it
+        done = []
+        sweep, build = bundlemodel._sanity_sweep, ThetaGroup.to_concrete
+
+        def swept(theta, rng):
+            done.append(("sweep", theta.order))
+            return sweep(theta, rng)
+
+        def built(self, *args, **kwargs):
+            done.append(("table", self.order))
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(bundlemodel, "_sanity_sweep", swept)
+        monkeypatch.setattr(ThetaGroup, "to_concrete", built)
+        return done
+
+    def test_class_report_admits_every_level(self, work):
+        # levels 2..8 fit the 512 cap; level 10 does not
+        msg = ("level 10: theta group order 1000 exceeds the oracle cap 512; "
+               "use mode 'structural'")
+        with pytest.raises(CapExceeded, match=f"^{re.escape(msg)}$"):
+            build_class_report(DiffeoClass(0), 10, mode="oracle")
+        assert work == []
+
+    def test_class_report_checks_thresholds_first(self, work):
+        with pytest.raises(ValueError, match="^threshold 0 must be >= 1$"):
+            build_class_report(DiffeoClass(0), 10, thresholds=(1, 0))
+        assert work == []
+
+    @pytest.mark.parametrize("n_max, level", [("9", 9), ("10", 10)])
+    def test_cli_admits_every_class(self, work, capsys, n_max, level):
+        # --max-n 9: class 0 fits, class 1 does not; --max-n 10: class 0,
+        # which runs first, fails first
+        assert main(["verify", "--mode", "oracle", "--max-n", n_max]) == 2
+        assert capsys.readouterr() == ("", (
+            f"theta-jordan: level {level}: theta group order {level ** 3} "
+            "exceeds the oracle cap 512; use mode 'structural'\n"))
+        assert work == []
+
+    def test_precedence(self, work):
+        # seed, mode, cap, n_max, level size, threshold: made bad from the
+        # last to the first, each error wins over every later one
+        args = dict(seed=0, mode="oracle", oracle_cap=512, n_max=8,
+                    thresholds=(1,))
+        for key, bad, msg in [("thresholds", (0,), "threshold 0 must be >= 1"),
+                              ("n_max", 10, "level 10: theta group order 1000"),
+                              ("n_max", 0, "n_max 0 must be >= 1"),
+                              ("oracle_cap", "x", "oracle cap 'x' is not"),
+                              ("mode", "orakle", "unknown mode 'orakle'"),
+                              ("seed", "a", "seed 'a' is not")]:
+            args[key] = bad
+            with pytest.raises((ValueError, CapExceeded), match=f"^{msg}"):
+                build_class_report(DiffeoClass(0), **args)
+        assert work == []
+
+    def test_structural_run_builds_each_level_once(self, monkeypatch, capsys):
+        # admission reads levels in mode 'oracle' only, so a structural run
+        # builds its entry levels once; the certificates build theirs
+        # (n = 2, 6, 12, 10**6 + 2 and 3, 7, 11, 10**6 + 1) themselves
+        built = []
+        original = bundlemodel.level_data
+        monkeypatch.setattr(bundlemodel, "level_data",
+                            lambda n: built.append(n) or original(n))
+        assert main(["verify", "--mode", "structural", "--max-n", "100"]) == 0
+        capsys.readouterr()
+        certificates = [2, 6, 12, 10 ** 6 + 2, 3, 7, 11, 10 ** 6 + 1]
+        assert sorted(built) == sorted([*range(1, 101), *certificates])
