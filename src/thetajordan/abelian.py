@@ -132,19 +132,17 @@ class FiniteAbelianGroup(_Frozen):
                 f"element {x!r} does not have {self.rank} coordinates"
             )
         for c, d in zip(x, self.invariant_factors):
-            if not isinstance(c, int):  # inline: base arithmetic checks every operand
-                check_int(c, "coordinate")
-            if not 0 <= c < d:
+            if not 0 <= check_int(c, "coordinate") < d:
                 raise ValueError(f"coordinate {c} out of range for Z_{d}")
 
     def add(self, x: AbElement, y: AbElement) -> AbElement:
         self.check_element(x)
         self.check_element(y)
-        return tuple(map(mod, map(add, x, y), self.invariant_factors))
+        return self._add(x, y)
 
     def neg(self, x: AbElement) -> AbElement:
         self.check_element(x)
-        return tuple(map(mod, map(neg, x), self.invariant_factors))
+        return self._neg(x)
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[AbElement]:
         """All elements in lexicographic coordinate order; zero comes first."""
@@ -169,12 +167,17 @@ class FiniteAbelianGroup(_Frozen):
                 raise ValueError(f"factor {d} does not divide ambient order {m}")
         return self._pairing(char, x) * m // self.order
 
-    def _pairing(self, char: Character, x: AbElement) -> int:
-        """evaluate(char, x) at the default ambient order, unchecked: the
-        caller has validated char and x."""
-        return sum(map(mul, map(mul, char, x), self._scales)) % self.order
+    # Unchecked arithmetic and the one codec: the caller validated every operand.
 
-    # The one mixed-radix codec, unchecked: the caller has validated x or r.
+    def _add(self, x: AbElement, y: AbElement) -> AbElement:
+        return tuple(map(mod, map(add, x, y), self.invariant_factors))
+
+    def _neg(self, x: AbElement) -> AbElement:
+        return tuple(map(mod, map(neg, x), self.invariant_factors))
+
+    def _pairing(self, char: Character, x: AbElement) -> int:
+        """evaluate(char, x) at the default ambient order."""
+        return sum(map(mul, map(mul, char, x), self._scales)) % self.order
 
     def _rank(self, x: Coords) -> int:
         """The position of x in elements().  Linear in the digits, so a
@@ -210,10 +213,7 @@ def make_group(cyclic_factors) -> FiniteAbelianGroup:
     result is isomorphic to the input direct sum and idempotent under
     re-canonicalization.
     """
-    factors = list(cyclic_factors)
-    for f in factors:
-        if not isinstance(f, int) or f < 1:
-            raise ValueError(f"cyclic factor {f!r} is not a positive integer")
+    factors = [check_int(f, "cyclic factor", 1) for f in cyclic_factors]
     return FiniteAbelianGroup(tuple(_divisibility_chain(factors)))
 
 
@@ -241,11 +241,8 @@ def is_pairing_nondegenerate(G: FiniteAbelianGroup, cap: int = ENUMERATION_CAP) 
     True for every well-formed group; exposed as a duality sanity check.
     """
     els = G.elements(cap)
-    zero = G.zero()
-    for x in els:
-        if x != zero and all(G.evaluate(l, x) == 0 for l in els):
-            return False
-    for l in els:
-        if l != zero and all(G.evaluate(l, x) == 0 for x in els):
+    for x in els[1:]:  # every element but zero, on the point and character side
+        if (all(G._pairing(l, x) == 0 for l in els)
+                or all(G._pairing(x, l) == 0 for l in els)):
             return False
     return True

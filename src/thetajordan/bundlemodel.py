@@ -59,7 +59,7 @@ class DiffeoClass(_Frozen):
     _field = "parity"
 
     def __init__(self, parity: int):
-        if not isinstance(parity, int) or parity not in (0, 1):
+        if check_int(parity, "parity", 0) > 1:
             raise ValueError(f"parity {parity!r} is not the integer 0 or 1")
         object.__setattr__(self, "parity", int(parity))
 
@@ -67,12 +67,14 @@ class DiffeoClass(_Frozen):
     def description(self) -> str:
         return _CLASS_DESCRIPTIONS[self.parity]
 
+    def _levels(self, n_max: int) -> range:
+        """The class's levels in 1..n_max, for callers that build each as read."""
+        return range(2 - self.parity, check_int(n_max, "n_max", 1) + 1, 2)
+
 
 def diffeo_class(n: int) -> DiffeoClass:
     """Class of the level-n total space; levels are taken nonnegative."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"level {n!r} is not a nonnegative integer")
-    return DiffeoClass(n % 2)
+    return DiffeoClass(check_int(n, "level", 0) % 2)
 
 
 def torsion_group(k: int) -> FiniteAbelianGroup:
@@ -131,8 +133,7 @@ def level_data(n: int) -> LevelData:
 
 def family_for_class(cls: DiffeoClass, n_max: int) -> list[LevelData]:
     """All levels 1..n_max of the given parity, ascending."""
-    n_max = check_int(n_max, "n_max", 1)
-    return [level_data(n) for n in range(1, n_max + 1) if n % 2 == cls.parity]
+    return list(map(level_data, cls._levels(n_max)))
 
 
 class ReportEntry(NamedTuple):
@@ -304,13 +305,13 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
     """
     check_int(seed, "seed")
     oracle_cap = _check_run(mode, oracle_cap)  # mode and cap before n_max
-    levels = family_for_class(cls, n_max)
-    _check_run(mode, oracle_cap, levels)
+    ns = cls._levels(n_max)
+    _check_run(mode, oracle_cap, map(level_data, ns))  # stops at a refused level
     thresholds = [check_int(c, "threshold", 1) for c in thresholds]
     entries = []
     violations: list[str] = []
     evidence: dict = {}  # certificates reuse the entries' oracle searches
-    for level in levels:
+    for level in map(level_data, ns):
         entry, vio = verify_level(
             level, mode, oracle_cap, seed, with_timing, evidence
         )

@@ -17,7 +17,7 @@ from .bundlemodel import (
     _check_run,
     build_class_report,
     document,
-    family_for_class,
+    level_data,
     level_for_base,
     render_csv,
     render_json,
@@ -148,9 +148,9 @@ def run(config: RunConfig):
             violations.extend(vio)
         else:
             classes = [DiffeoClass(p) for p in config.parities]
-            # every class is admitted before the first one runs
-            _check_run(config.mode, config.oracle_cap, (level for cls in classes
-                       for level in family_for_class(cls, config.n_max)))
+            # every class is admitted, level by level, before the first one runs
+            _check_run(config.mode, config.oracle_cap, (level_data(n) for cls in classes
+                       for n in cls._levels(config.n_max)))
             for cls in classes:
                 report, vio = build_class_report(
                     cls, config.n_max, mode=config.mode,

@@ -14,8 +14,8 @@ minimal abelian index is exactly m.  That closed form is the structural
 route; the brute-force route searches the pairing space's table for the
 largest subgroup on which the pairing vanishes.  A point's index is
 rank(k)*m + rank(l) by the base's codec, the theta index without its a
-digit, and the table and the isotropy masks come from the base's validated
-add and evaluate, not from the theta law.
+digit, and the table and the isotropy masks come from the base's unchecked
+_add and _pairing on the points it enumerates, not from the theta law.
 """
 
 from __future__ import annotations
@@ -62,21 +62,23 @@ class PairingSpace(NamedTuple):
     def add(self, p: Point, q: Point) -> Point:
         self.check_point(p)
         self.check_point(q)
-        return (self.base.add(p[0], q[0]), self.base.add(p[1], q[1]))
+        return tuple(map(self.base._add, p, q))
 
     def neg(self, p: Point) -> Point:
         self.check_point(p)
-        return (self.base.neg(p[0]), self.base.neg(p[1]))
+        return tuple(map(self.base._neg, p))
 
     def pairing(self, p: Point, q: Point) -> int:
         """Antisymmetric, bilinear, nondegenerate exponent pairing mod m: the
         exponent of the central commutator of any theta-group lifts of p, q."""
         self.check_point(p)
         self.check_point(q)
-        k, l = p
-        k2, l2 = q
-        pairing = self.base._pairing  # at ambient order m; p, q are checked
-        return (pairing(l2, k) - pairing(l, k2)) % self.m
+        return self._pairing(p, q)
+
+    def _pairing(self, p: Point, q: Point) -> int:
+        """pairing(p, q), unchecked: the caller has validated p and q."""
+        (k, l), (k2, l2) = p, q
+        return (self.base._pairing(l2, k) - self.base._pairing(l, k2)) % self.m
 
     def points(self, cap: int = ENUMERATION_CAP) -> list[Point]:
         """All |K|^2 points, element-major lexicographic; zero comes first."""
@@ -101,7 +103,7 @@ class PairingSpace(NamedTuple):
         check_cap(self.order, cap, "pairing space")
         m, K = self.m, self.base
         els = K.elements(cap)
-        add = [[K._rank(K.add(x, y)) for y in els] for x in els]
+        add = [[K._rank(K._add(x, y)) for y in els] for x in els]
         table = [
             tuple([add[k][k2] * m + add[l][l2] for k2 in range(m) for l2 in range(m)])
             for k in range(m) for l in range(m)
@@ -127,9 +129,9 @@ def is_isotropic(space: PairingSpace, points) -> bool:
         raise ValueError("not a subgroup: the zero point is missing")
     for p in pts:
         for q in pts:
-            if space.add(p, q) not in pset:
+            if tuple(map(space.base._add, p, q)) not in pset:
                 raise ValueError(f"not closed under addition: {p} + {q} missing")
-    return all(space.pairing(p, q) == 0 for p in pts for q in pts)
+    return all(space._pairing(p, q) == 0 for p in pts for q in pts)
 
 
 def max_isotropic_order(space: PairingSpace, method: str = "both",
@@ -154,7 +156,7 @@ def max_isotropic_order(space: PairingSpace, method: str = "both",
         return structural
     m, K = space.m, space.base
     els = K.elements(cap)
-    ev = [[K.evaluate(l, x) for x in els] for l in els]
+    ev = [[K._pairing(l, x) for x in els] for l in els]
     # iso[i] masks the points pairing to 0 with point i; 1 masks {zero}
     iso = [
         sum(1 << (k2 * m + l2) for k2 in range(m) for l2 in range(m)

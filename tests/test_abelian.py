@@ -362,13 +362,14 @@ class TestNondegeneracy:
             assert is_pairing_nondegenerate(FiniteAbelianGroup(fs))
 
     # a well-formed group never trips the two rejections; patched pairings
-    # that kill a point on one side reach each of them
+    # that kill a point on one side reach each of them.  The check reads the
+    # unchecked _pairing, which is what gets patched
     @pytest.mark.parametrize("pairing", [
-        lambda self, l, x, m=None: 0,  # no character sees x = 1
-        lambda self, l, x, m=None: x[0] if l == (0,) else 0,  # l = 1 sees nothing
+        lambda self, l, x: 0,  # no character sees x = 1
+        lambda self, l, x: x[0] if l == (0,) else 0,  # l = 1 sees nothing
     ], ids=["point side", "character side"])
     def test_degenerate_pairing_is_detected(self, monkeypatch, pairing):
-        monkeypatch.setattr(FiniteAbelianGroup, "evaluate", pairing)
+        monkeypatch.setattr(FiniteAbelianGroup, "_pairing", pairing)
         assert not is_pairing_nondegenerate(make_group([2]))
 
     def test_characters_give_distinct_functions(self):

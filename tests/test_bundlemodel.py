@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from thetajordan import bundlemodel, lattice
+from thetajordan import bundlemodel, cli, lattice
 from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
@@ -123,7 +123,10 @@ class TestLevelArguments:
         (torsion_group, "torsion level"),
         (lambda v: torsion_inclusion(v, 4), "torsion level"),
         (lambda v: torsion_inclusion(2, v), "torsion level"),
+        (lambda v: make_group([v]), "cyclic factor"),
     ]
+    # inputs whose least value is 0: a parity, and the level diffeo_class reads
+    LEAST_ZERO = [(DiffeoClass, "parity"), (diffeo_class, "level")]
 
     def test_non_integers_are_named(self):
         for call, what in self.CALLS:
@@ -135,6 +138,15 @@ class TestLevelArguments:
         for call, what in self.CALLS:
             with pytest.raises(ValueError, match=f"{what} 0 must be >= 1"):
                 call(0)
+
+    def test_least_zero_calls_are_named(self):
+        for call, what in self.LEAST_ZERO:
+            for bad in (1.0, "1", None):
+                with pytest.raises(ValueError, match=re.escape(f"{what} {bad!r} is not an integer")):
+                    call(bad)
+            with pytest.raises(ValueError, match=f"^{what} -1 must be >= 0$"):
+                call(-1)
+        assert DiffeoClass(0).parity == diffeo_class(0).parity == 0
 
     def test_bools_count_as_ints(self):
         assert level_data(True).n == 1
@@ -160,13 +172,14 @@ class TestDiffeoClass:
             diffeo_class(-1)
 
     def test_bad_parity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^parity 2 is not the integer 0 or 1$"):
             DiffeoClass(2)
 
     def test_float_parity_rejected(self):
-        with pytest.raises(ValueError, match="parity 1.0 is not the integer 0 or 1"):
+        # check_int names the float, as it does for every integer input
+        with pytest.raises(ValueError, match="^parity 1.0 is not an integer$"):
             DiffeoClass(1.0)
-        with pytest.raises(ValueError, match="level 3.0 is not a nonnegative integer"):
+        with pytest.raises(ValueError, match="^level 3.0 is not an integer$"):
             diffeo_class(3.0)
 
     def test_bool_parity_accepted(self):
@@ -843,6 +856,25 @@ class TestAdmission:
                "use mode 'structural'")
         with pytest.raises(CapExceeded, match=f"^{re.escape(msg)}$"):
             build_class_report(DiffeoClass(0), 10, mode="oracle")
+        assert work == []
+
+    def test_refused_runs_stop_at_the_refused_level(self, work, monkeypatch, capsys):
+        # admission builds each level as it reads it, so a run refused at
+        # level 10 builds levels 2..10 of class 0, not the whole class first
+        built = []
+        original = bundlemodel.level_data
+        for module in (bundlemodel, cli):
+            monkeypatch.setattr(module, "level_data",
+                                lambda n: built.append(n) or original(n))
+        assert main(["verify", "--mode", "oracle", "--max-n", "1000000"]) == 2
+        assert capsys.readouterr().err == (
+            "theta-jordan: level 10: theta group order 1000 exceeds the oracle "
+            "cap 512; use mode 'structural'\n")
+        assert built == [2, 4, 6, 8, 10]
+        built.clear()
+        with pytest.raises(CapExceeded, match="^level 10: theta group order 1000 "):
+            build_class_report(DiffeoClass(0), 10 ** 6, mode="oracle")
+        assert built == [2, 4, 6, 8, 10]
         assert work == []
 
     def test_class_report_checks_thresholds_first(self, work):

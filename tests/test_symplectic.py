@@ -4,6 +4,7 @@ import pytest
 
 from thetajordan import symplectic
 from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
+from thetajordan.abelian import is_pairing_nondegenerate
 from thetajordan.heis import ThetaElement, theta_group
 from thetajordan.lattice import all_subgroups, is_abelian
 from thetajordan.symplectic import (
@@ -127,6 +128,26 @@ class TestPairing:
             calls[0] = 0
             assert P.pairing(p, q) == want
             assert calls[0] == 4  # two parts of each point, once each
+
+    @pytest.mark.parametrize("call, result, checks", [
+        (lambda P, p, q, sub: P.add(p, q), ((3, 3), (3, 0)), 4),
+        (lambda P, p, q, sub: P.neg(q), ((1, 1), (1, 1)), 2),
+        (lambda P, p, q, sub: is_isotropic(P, sub), True, 32),
+        (lambda P, p, q, sub: max_isotropic_order(P, "brute", 256), 16, 0),
+        (lambda P, p, q, sub: P.to_concrete().order, 256, 0),
+        (lambda P, p, q, sub: is_pairing_nondegenerate(make_group([8, 8])), True, 0),
+    ], ids=["add", "neg", "is_isotropic", "brute", "to_concrete", "nondegenerate"])
+    def test_each_value_checked_once(self, monkeypatch, call, result, checks):
+        # a public function checks each argument once, two base checks per
+        # point, and its loops run on the unchecked _add and _pairing: the
+        # routes that enumerate their own points make no base check at all
+        calls = counting_checks(monkeypatch, FiniteAbelianGroup)
+        P = space([4, 4])
+        p, q = P.points()[1], P.points()[-1]
+        sub = [(k, P.base.zero()) for k in P.base.elements()]  # K + {0}: 16 points
+        calls[0] = 0
+        assert call(P, p, q, sub) == result
+        assert calls[0] == checks
 
 
 class TestBridgeToCommutator:
