@@ -291,6 +291,39 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
     return Certificate(threshold, n, level.theta.order, idx, ev.method)
 
 
+def _class_reports(classes, n_max: int, mode: str, oracle_cap: int,
+                   thresholds, seed: int, with_timing: bool):
+    """Reports for the classes, in order; returns (reports, violations).
+
+    The one place a run is admitted: seed, mode, cap, n_max, each level's
+    size and every threshold, in that order, are checked before the first
+    sweep.  In mode 'oracle' every level of every class is admitted, built
+    as it is read, so a refused run stops at the first refused level.
+    """
+    check_int(seed, "seed")
+    oracle_cap = _check_run(mode, oracle_cap)  # mode and cap before n_max
+    ns = [cls._levels(n_max) for cls in classes]
+    _check_run(mode, oracle_cap, (level_data(n) for levels in ns for n in levels))
+    thresholds = [check_int(c, "threshold", 1) for c in thresholds]
+    reports, violations = [], []
+    for cls, levels in zip(classes, ns):
+        entries, certificates = [], []
+        evidence: dict = {}  # certificates reuse the entries' oracle searches
+        for level in map(level_data, levels):
+            entry, vio = verify_level(level, mode, oracle_cap, seed, with_timing,
+                                      evidence)
+            entries.append(entry)
+            violations.extend(vio)
+        for c in thresholds:
+            try:
+                certificates.append(
+                    jordan_certificate(cls, c, mode, oracle_cap, evidence))
+            except BoundViolation as exc:
+                violations.append(str(exc))
+        reports.append(VerificationReport(cls, tuple(entries), tuple(certificates)))
+    return reports, violations
+
+
 def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
                        oracle_cap: int = DEFAULT_ORACLE_CAP,
                        thresholds=DEFAULT_THRESHOLDS, seed: int = 0,
@@ -303,29 +336,8 @@ def build_class_report(cls: DiffeoClass, n_max: int, mode: str = "both",
     BoundViolation diagnostic; callers that need to emit the failing report
     first pass strict=False and handle the violation list themselves.
     """
-    check_int(seed, "seed")
-    oracle_cap = _check_run(mode, oracle_cap)  # mode and cap before n_max
-    ns = cls._levels(n_max)
-    _check_run(mode, oracle_cap, map(level_data, ns))  # stops at a refused level
-    thresholds = [check_int(c, "threshold", 1) for c in thresholds]
-    entries = []
-    violations: list[str] = []
-    evidence: dict = {}  # certificates reuse the entries' oracle searches
-    for level in map(level_data, ns):
-        entry, vio = verify_level(
-            level, mode, oracle_cap, seed, with_timing, evidence
-        )
-        entries.append(entry)
-        violations.extend(vio)
-    certificates = []
-    for c in thresholds:
-        try:
-            certificates.append(
-                jordan_certificate(cls, c, mode, oracle_cap, evidence)
-            )
-        except BoundViolation as exc:
-            violations.append(str(exc))
-    report = VerificationReport(cls, tuple(entries), tuple(certificates))
+    (report,), violations = _class_reports(
+        (cls,), n_max, mode, oracle_cap, thresholds, seed, with_timing)
     if strict and violations:
         raise BoundViolation("; ".join(violations))
     return report, violations

@@ -12,12 +12,12 @@ from typing import NamedTuple
 
 from .abelian import CapExceeded, ENUMERATION_CAP, parse_group_spec
 from .bundlemodel import (
+    DEFAULT_THRESHOLDS,
     DiffeoClass,
     VerificationReport,
-    _check_run,
-    build_class_report,
+    _class_reports,
+    diffeo_class,
     document,
-    level_data,
     level_for_base,
     render_csv,
     render_json,
@@ -121,7 +121,8 @@ def _config_echo(config: RunConfig) -> dict:
 
 
 def _base_group_report(config: RunConfig):
-    """Single-group run for --base-group; the bound target is |K|."""
+    """Single-group run for --base-group, as ([report], violations); the
+    bound target is |K|."""
     base = parse_group_spec(config.base_group)
     entry, violations = verify_level(
         level_for_base(base),
@@ -130,7 +131,7 @@ def _base_group_report(config: RunConfig):
         seed=config.seed,
         with_timing=not config.no_timestamps,
     )
-    return VerificationReport(DiffeoClass(base.order % 2), (entry,), ()), violations
+    return [VerificationReport(diffeo_class(base.order), (entry,), ())], violations
 
 
 def run(config: RunConfig):
@@ -139,25 +140,14 @@ def run(config: RunConfig):
     The report is rendered and written (stdout or --out) even when a
     violation was found, so failures stay auditable.
     """
-    violations: list[str] = []
-    reports = []
     try:
         if config.base_group:
-            report, vio = _base_group_report(config)
-            reports.append(report)
-            violations.extend(vio)
+            reports, violations = _base_group_report(config)
         else:
-            classes = [DiffeoClass(p) for p in config.parities]
-            # every class is admitted, level by level, before the first one runs
-            _check_run(config.mode, config.oracle_cap, (level_data(n) for cls in classes
-                       for n in cls._levels(config.n_max)))
-            for cls in classes:
-                report, vio = build_class_report(
-                    cls, config.n_max, mode=config.mode,
-                    oracle_cap=config.oracle_cap, seed=config.seed, strict=False,
-                    with_timing=not config.no_timestamps)
-                reports.append(report)
-                violations.extend(vio)
+            reports, violations = _class_reports(
+                [DiffeoClass(p) for p in config.parities], config.n_max,
+                config.mode, config.oracle_cap, DEFAULT_THRESHOLDS, config.seed,
+                not config.no_timestamps)
     except (CapExceeded, ValueError) as exc:
         print(f"theta-jordan: {exc}", file=sys.stderr)
         return {}, EXIT_USAGE

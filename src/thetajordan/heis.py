@@ -242,16 +242,14 @@ class ThetaGroup:
 
         Commuting with the generating set is equivalent to commuting with
         the whole group; for a nontrivial base this is exactly the exponent
-        factor {(a, 0, 0)}, of size m.
+        factor {(a, 0, 0)}, of size m.  Runs on indices, as the sweep does:
+        each generator is checked once, and each value the law returns.
         """
-        gens = self.generators()
-        e = self.identity()
-        members = [
-            i
-            for i, g in enumerate(self.elements(cap))
-            if all(self.commutator(g, t) == e for t in gens)
-        ]
-        return Subgroup(tuple(members))
+        check_cap(self.order, cap, "theta group")
+        gens = list(map(self.index, self.generators()))
+        mul, check = self._mul, self._check_index
+        return Subgroup(tuple(i for i in range(self.order) if not any(
+            self._bridge(i, t, check(mul(i, t)), check(mul(t, i))) for t in gens)))
 
     def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
         """Materialize multiplication and inverse tables over element indices.

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from thetajordan import bundlemodel, cli, lattice
+from thetajordan import bundlemodel, lattice
 from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import (
     CORRUPT_ENV_VAR,
@@ -860,12 +860,12 @@ class TestAdmission:
 
     def test_refused_runs_stop_at_the_refused_level(self, work, monkeypatch, capsys):
         # admission builds each level as it reads it, so a run refused at
-        # level 10 builds levels 2..10 of class 0, not the whole class first
+        # level 10 builds levels 2..10 of class 0, not the whole class first;
+        # the command line admits through bundlemodel, which builds them all
         built = []
         original = bundlemodel.level_data
-        for module in (bundlemodel, cli):
-            monkeypatch.setattr(module, "level_data",
-                                lambda n: built.append(n) or original(n))
+        monkeypatch.setattr(bundlemodel, "level_data",
+                            lambda n: built.append(n) or original(n))
         assert main(["verify", "--mode", "oracle", "--max-n", "1000000"]) == 2
         assert capsys.readouterr().err == (
             "theta-jordan: level 10: theta group order 1000 exceeds the oracle "
@@ -876,6 +876,20 @@ class TestAdmission:
             build_class_report(DiffeoClass(0), 10 ** 6, mode="oracle")
         assert built == [2, 4, 6, 8, 10]
         assert work == []
+
+    def test_oracle_run_admits_each_level_once(self, monkeypatch, capsys):
+        # one runner admits both classes: 8 levels to admit, 8 to run and
+        # 8 certificate levels; one mode-and-cap check, one admission of
+        # the levels, and one check per verify_level and per certificate
+        calls = {"level_data": [], "_check_run": []}
+        for name, seen in calls.items():
+            original = getattr(bundlemodel, name)
+            monkeypatch.setattr(bundlemodel, name, lambda *args, seen=seen,
+                                original=original: seen.append(args) or original(*args))
+        assert main(["verify", "--mode", "oracle", "--max-n", "8"]) == 0
+        capsys.readouterr()
+        assert len(calls["level_data"]) == 24
+        assert len(calls["_check_run"]) == 18
 
     def test_class_report_checks_thresholds_first(self, work):
         with pytest.raises(ValueError, match="^threshold 0 must be >= 1$"):

@@ -324,6 +324,8 @@ class TestBinary:
             "168dfc42d63c6fa1feaa12626e3af0f4faf58ba97b0600d233d416d3a8010172",
         "--base-group Z2xZ2xZ2":
             "3300fcec7e5c058bc7bb8a23e3d236c5cce850f06c977f3e008c40ba7ae53571",
+        "--mode oracle --max-n 8":
+            "3d2141dbf829dd68fe694929120e0567b8eda76fc92ea08b4ed9e0a7cdd8b75e",
     }
 
     @pytest.mark.parametrize("args", PINNED)

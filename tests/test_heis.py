@@ -14,6 +14,7 @@ from thetajordan.heis import (
 )
 
 from helpers import char_value_complex, divisor_chains, root_of_unity
+from test_law_reference import counting_checks
 
 
 def theta(factors):
@@ -274,6 +275,22 @@ class TestCenterAndOrders:
             ]
             assert list(G.center().members) == exhaustive
             assert G.center().order == G.m
+
+    @pytest.mark.parametrize("factors, indices", [
+        ([2, 2], 552), ([16], 25344), ([4, 4], 28608), ([2, 2, 2, 2], 36768),
+    ], ids=["2x2", "16", "4x4", "2x2x2x2"])
+    def test_center_checks_each_generator_once(self, monkeypatch, factors, indices):
+        # the 2r + 1 generators are checked once each, two base checks per
+        # generator; each pair checks the three values the law returns, gh,
+        # hg and the bridge's (hg)^-1, and an element stops at its first
+        # generator that does not commute
+        G = theta(factors)
+        gens = 2 * G.base.rank + 1
+        base = counting_checks(monkeypatch, FiniteAbelianGroup)
+        elements = counting_checks(monkeypatch, names=("check_element",))
+        ints = counting_checks(monkeypatch, names=("_check_index",))
+        assert G.center(cap=4096).members == tuple(range(0, G.order, G.m * G.m))
+        assert (base[0], elements[0], ints[0]) == (2 * gens, gens, indices)
 
     def test_element_order_example(self):
         G = theta([2])
