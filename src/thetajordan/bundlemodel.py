@@ -24,14 +24,14 @@ from typing import Callable, NamedTuple
 from .abelian import CapExceeded, Coords, FiniteAbelianGroup, _Frozen
 from .abelian import check_int, make_group
 from .heis import ThetaGroup, _sanity_sweep, theta_group
-from .lattice import ConcreteGroup, DEFAULT_ORACLE_CAP, min_abelian_index
+from .lattice import DEFAULT_ORACLE_CAP
 from .symplectic import structural_min_abelian_index
 
 SCHEMA_VERSION = "theta-jordan/1"
 DEFAULT_THRESHOLDS = (1, 5, 10, 1_000_000)
 
-# Test hook: when set, the oracle searches a deliberately wrong (abelianized)
-# multiplication table, which must drive a run's exit code to 1.
+# Test hook: when set, the oracle reads a deliberately wrong (abelian) law,
+# which must drive a run's exit code to 1.
 CORRUPT_ENV_VAR = "THETA_JORDAN_CORRUPT_MUL"
 
 # The level-k symmetry group is pinned to the full k-torsion of the torus,
@@ -161,13 +161,15 @@ class VerificationReport(NamedTuple):
     threshold_certificates: tuple[Certificate, ...]
 
 
-def _oracle_table(theta: ThetaGroup, cap: int) -> ConcreteGroup:
-    """The table the oracle searches: theta's own, or under CORRUPT_ENV_VAR
-    the cyclic group of the same order."""
-    if os.environ.get(CORRUPT_ENV_VAR):
-        order = theta.order
-        return ConcreteGroup.from_mul_fn(order, lambda i, j: (i + j) % order)
-    return theta.to_concrete(cap)
+class _CyclicTheta(ThetaGroup):
+    """Under CORRUPT_ENV_VAR, the law the oracle reads: the cyclic group of
+    the theta group's order, whose cells make an abelian extension."""
+
+    def _mul(self, i: int, j: int) -> int:
+        return (i + j) % self.order
+
+    def _inv(self, i: int) -> int:
+        return -i % self.order
 
 
 def _check_run(mode: str, oracle_cap: int, levels=()) -> int:
@@ -202,10 +204,10 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     mode 'oracle' runs the exhaustive subgroup search, 'structural' uses the
     closed form, and 'both' runs both and records any disagreement; above
     the oracle cap either mode falls back to the closed form, and so does a
-    level whose table fails its group check or whose search maximum does
-    not divide the order, which is recorded as well.
+    level whose law cells fail the oracle's group proof or whose search
+    maximum does not divide the order, which is recorded as well.
     Calls that share an `evidence` dict run each level's oracle search once;
-    it keeps these records, never a table, and never changes a result.
+    it keeps these records, never the law's cells, and never changes a result.
     """
     theta = level.theta
     sidx = structural_min_abelian_index(theta.base)
@@ -215,13 +217,12 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     evidence = {} if evidence is None else evidence
     key = (level, mode)
     if key not in evidence:
+        law = _CyclicTheta(theta.base) if os.environ.get(CORRUPT_ENV_VAR) else theta
         try:
-            table = _oracle_table(theta, oracle_cap)
-        except ValueError as exc:  # the law's own table: a broken law fails here
+            oidx = law.min_abelian_index(oracle_cap)
+        except ValueError as exc:  # the law's own cells: a broken law fails here
             return evidence.setdefault(key, structural._replace(
                 violation=f"theta table is not a group: {exc}"))
-        try:
-            oidx = min_abelian_index(table, oracle_cap)
         except RuntimeError as exc:  # a search maximum that breaks Lagrange
             return evidence.setdefault(key, structural._replace(
                 violation=f"oracle search failed: {exc}"))

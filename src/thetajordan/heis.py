@@ -16,7 +16,8 @@ The law runs on element indices: the mixed-radix index a*m^2 + rank(k)*m
 one codec (FiniteAbelianGroup._rank, the position in elements()), so a
 value check is one int test and one range compare.  ThetaElement appears
 only at the public boundary: arguments and results.  _mul and
-_inv are the one formula of the law: to_concrete reads its tables off them.
+_inv are the one formula of the law: _law_cells reads the cells that
+to_concrete's table and the oracle's central extension are built from.
 Every rank runs one loop over the digits of the indices, coordinate by
 coordinate, at the base's place values, with <l', k> = sum l'_t k_t m/d_t
 mod m; on a cyclic base (every level of the family is one) the law runs
@@ -44,9 +45,27 @@ from .abelian import (
     check_int,
     index_tuple,
 )
-from .lattice import ConcreteGroup, Subgroup
+from .lattice import (
+    ConcreteGroup,
+    DEFAULT_ORACLE_CAP,
+    Subgroup,
+    extension_min_abelian_index,
+)
 
 SWEEP_ROUNDS = 24
+# The sweep's last rounds (g, h, f) are fixed.  Each element is written
+# (a, k, l): one value for a and one for every digit of k and of l, each 0,
+# 1 or -1, read mod m and mod each digit's d, so a is 0 or m - 1 and every
+# digit 0, 1 or d - 1.  The first two rounds square the last index, n - 1,
+# beside a third element, so associativity reads that cell.
+EDGE_ROUNDS = (
+    ((-1, -1, -1), (-1, -1, -1), (0, 1, 1)),
+    ((0, 1, 1), (-1, -1, -1), (-1, -1, -1)),
+    ((-1, -1, 0), (0, 0, -1), (-1, -1, -1)),
+    ((0, 0, -1), (-1, -1, 0), (0, 1, 1)),
+    ((-1, 1, -1), (-1, -1, 1), (0, -1, -1)),
+    ((-1, 0, 0), (0, -1, -1), (-1, 1, 0)),
+)
 
 
 class ThetaElement(NamedTuple):
@@ -113,6 +132,18 @@ class ThetaGroup:
         """The element of index i, unchecked: the caller has validated i.
         An index past the order keeps its excess in a, as the law left it."""
         return ThetaElement(i // self._mm, *self._kl(i))
+
+    def _edge_indices(self) -> list[int]:
+        """The EDGE_ROUNDS elements as indices, round after round."""
+        # the index's share of a, of every k digit and of every l digit at
+        # x, for x = 0, 1 and -1, so that shares[-1] is x = -1; each l
+        # digit's place is its k digit's over m
+        shares = [(0, 0, 0)]
+        for x in (1, -1):
+            k_share = sum(x % d * kp for kp, _, d, _ in self._digits)
+            shares.append((x % self.m * self._mm, k_share, k_share // self.m))
+        return [shares[a][0] + shares[k][1] + shares[l][2]
+                for triple in EDGE_ROUNDS for a, k, l in triple]
 
     def _show(self, *indices: int) -> str:
         """Unchecked indices as format_element renders their elements."""
@@ -251,26 +282,20 @@ class ThetaGroup:
         return Subgroup(tuple(i for i in range(self.order) if not any(
             self._bridge(i, t, check(mul(i, t)), check(mul(t, i))) for t in gens)))
 
-    def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
-        """Materialize multiplication and inverse tables over element indices.
+    def _law_cells(self) -> tuple[list[list[int]], list[int]]:
+        """The law's cells that to_concrete and the oracle read:
+        (block, inverses).
 
-        The tables are read off the law: _mul and _inv, on the indices
-        a*m^2 + k*m + l (k, l the ranks of the base coordinates, as in
-        index()).  Rows are built one (k, l) at a time: the m^2 entries of
-        row (0, k, l) with a' = 0 come from _mul, each checked as an index,
-        the m central rotations x -> x + a*m^2 (mod n) of one shared list of
-        n ints extend them to the whole row, and the row of (a, k, l) is
-        that row rotated by a*m^2, a slice of it doubled.  So only one row
-        is alive beside the table, and every entry is one of n shared int
-        objects.  The rotation rule's premise is checked first: the row and
-        column of the central element c = (1, 0, 0) must both be
-        x -> x + m^2 (mod n), else ValueError.  The table's group check then
-        proves the table a group.  It agrees with the law on the a' = 0
-        block, on the inverses and on c's row and column; elsewhere only the
-        sanity sweep compares them.
+        The central rotation premise comes first: the row and column of the
+        central element c = (1, 0, 0) must both be x -> x + m^2 (mod n),
+        read off _mul (2n calls, each result checked as an index), else
+        ValueError.  Then the a = 0 block: block[u][v] = _mul(u, v) for
+        u, v < m^2, each checked as an index, so it is beta(u, v)*m^2 +
+        w(u, v) for the product w on V = K + K^ and the cocycle beta, and
+        central rotation fills in the rest of the table from it.  The n
+        inverses come from _inv; the group check reads them.
         """
-        check_cap(self.order, cap, "theta group")
-        m, n, mm = self.m, self.order, self._mm
+        n, mm = self.order, self._mm
         mul, check = self._mul, self._check_index
         c = mm % n  # index of (1, 0, 0); the identity when m = 1
         for x in range(n):
@@ -279,24 +304,54 @@ class ThetaGroup:
                 show = self._show
                 raise ValueError(f"the central element {show(c)} does not "
                                  f"rotate {show(x)} to {show(cx)} on both sides")
+        block = [[check(mul(u, v)) for v in range(mm)] for u in range(mm)]
+        return block, list(map(self._inv, range(n)))
+
+    def to_concrete(self, cap: int = ENUMERATION_CAP) -> ConcreteGroup:
+        """Materialize multiplication and inverse tables over element indices.
+
+        The tables are read off the law: _mul and _inv, on the indices
+        a*m^2 + k*m + l (k, l the ranks of the base coordinates, as in
+        index()), through _law_cells.  Row (0, k, l) is its block row
+        extended by the m central rotations x -> x + a*m^2 (mod n) of one
+        shared list of n ints, and the row of (a, k, l) is that row rotated
+        by a*m^2, a slice of it doubled.  So every entry is one of n shared
+        int objects.  The table's group check then proves the table a group.
+        It agrees with the law on the a' = 0 block, on the inverses and on
+        c's row and column; elsewhere only the sanity sweep compares them.
+        """
+        check_cap(self.order, cap, "theta group")
+        m, n, mm = self.m, self.order, self._mm
+        block, inverses = self._law_cells()
         ranks = range(m)
         vals = list(range(n))
         rotations = [vals[a * mm:] + vals[:a * mm] for a in ranks]
         table = [None] * n
-        for kl in range(mm):
-            block = [check(mul(kl, j)) for j in range(mm)]
+        for kl, row in enumerate(block):
             # map, not itemgetter: a one-entry block (m = 1) stays a row
             line = tuple(chain.from_iterable(
-                map(rot.__getitem__, block) for rot in rotations))
+                map(rot.__getitem__, row) for rot in rotations))
             line += line
             for a in ranks:
                 table[a * mm + kl] = line[a * mm:a * mm + n]
         return ConcreteGroup(
             table,
-            inv_table=list(map(self._inv, range(n))),
+            inv_table=inverses,
             identity=0,
             describe=lambda i: format_element(self.element(i)),
         )
+
+    def min_abelian_index(self, cap: int = DEFAULT_ORACLE_CAP) -> int:
+        """The oracle: the minimal abelian index, from the law alone.
+
+        It proves and searches the central extension Z_m x_beta V that
+        _law_cells reads (lattice.extension_min_abelian_index): m^4 block
+        cells, not to_concrete's m^6 entries, with the same answer and the
+        same ValueError for cells that make no group.  RuntimeError when
+        the search maximum breaks Lagrange.
+        """
+        check_cap(self.order, cap, "oracle search")
+        return extension_min_abelian_index(self.m, *self._law_cells())
 
     def random_element(self, rng) -> ThetaElement:
         """Digits a, then k, then l, each drawn by rng.randrange(d)."""
@@ -318,7 +373,11 @@ def _sanity_sweep(theta: ThetaGroup, rng) -> list[str]:
     Works at any level because it never enumerates the group: associativity
     on random triples, inverse law, and the commutator closed-form bridge.
     It runs the unchecked law on element indices g, h and f, each drawn as
-    one rng.randrange(order) and so in range by construction.  Each round
+    one rng.randrange(order), round by round and all before the first, and
+    so in range by construction, except in the last len(EDGE_ROUNDS) of its
+    SWEEP_ROUNDS rounds, which take them from EDGE_ROUNDS: the law's
+    boundary cells, which the oracle's block and a random draw rarely read,
+    are read at every level.  Each round
     checks the five values the law returns (gh, hf, g^-1, hg and, in the
     bridge, (hg)^-1) once each, before the law consumes them; messages
     render elements with format_element.  A product or inverse that leaves
@@ -327,10 +386,9 @@ def _sanity_sweep(theta: ThetaGroup, rng) -> list[str]:
     out = []
     n, draw = theta.order, rng.randrange
     check, mul, inv, show = theta._check_index, theta._mul, theta._inv, theta._show
-    for _ in range(SWEEP_ROUNDS):
-        g = draw(n)
-        h = draw(n)
-        f = draw(n)
+    picks = [draw(n) for _ in range(3 * (SWEEP_ROUNDS - len(EDGE_ROUNDS)))]
+    picks = iter(picks + theta._edge_indices())
+    for g, h, f in zip(picks, picks, picks):
         try:
             gh = check(mul(g, h))
             hf = check(mul(h, f))

@@ -7,8 +7,9 @@ are bitmasks (one Python int each), and two routines answer every subgroup
 question: _generate closes a seed from greedy generators, and _max_related
 is the pruned search for the largest subgroup whose members pairwise
 relate (commute for the abelian oracle, pair to zero for isotropy).  The
-abelian oracle runs that search on the quotient by the center, whose table
-it reads off the verified multiplication table.
+search on a table runs on the quotient by the center, whose table it reads
+off the verified multiplication table; the theta oracle's search runs on a
+central extension Z_m x_beta V, given by its block over V, on V itself.
 """
 
 from __future__ import annotations
@@ -339,10 +340,64 @@ def max_abelian_order(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
 def min_abelian_index(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Group order divided by the maximum abelian subgroup order."""
-    m = max_abelian_order(G, cap)
-    if G.order % m:
-        raise RuntimeError(f"abelian maximum {m} does not divide the order {G.order}")
-    return G.order // m
+    return _lagrange_index(G.order, max_abelian_order(G, cap))
+
+
+def _lagrange_index(order: int, top: int) -> int:
+    """order // top, or RuntimeError when no subgroup can have order top."""
+    if order % top:
+        raise RuntimeError(f"abelian maximum {top} does not divide the order {order}")
+    return order // top
+
+
+def extension_max_abelian_order(m: int, block, inv_table) -> int:
+    """Exact maximum abelian order of the central extension E = Z_m x_beta V
+    given by its a = 0 block and its inverse table, proven a group first.
+
+    E's element a*|V| + u is (a, u), and block[u][v] = beta(u, v)*|V| +
+    w(u, v), in 0..|E|-1, gives (a, u)(b, v) = (a + b + beta(u, v), w(u, v)).
+    The proof raises the ValueError, with its text, that the ConcreteGroup
+    of E's whole table would: an inverse out of range, then identity and
+    inverse at each element in index order, then associativity, which holds
+    iff V is a group (V's ConcreteGroup) and beta a cocycle (Light's test on
+    the lifts (0, t) of V's generators; (1, 0) passes by construction).
+    (a, u) and (b, v) commute iff the block is symmetric at (u, v), so the
+    search runs on V, from R, the members related to all of V.
+    """
+    size = len(block)
+    n = m * size
+    inv = index_tuple(inv_table, n, "inverse table entry")
+    for i, j in enumerate(inv):
+        u, v = i % size, j % size
+        if block[0][u] != u or block[u][0] != u:
+            raise ValueError("index 0 is not a two-sided identity")
+        shift = i - u + j - v
+        if (block[u][v] + shift) % n or (block[v][u] + shift) % n:
+            raise ValueError(f"inverse table is wrong at element {i}")
+    V = ConcreteGroup([[r % size for r in row] for row in block],
+                      inv_table=[j % size for j in inv[:size]])
+    beta = [[r // size for r in row] for row in block]
+    for t in V._gens:
+        # itemgetter returns a one-entry row as a bare value, but V then
+        # has order 1 and no generators
+        t_v = itemgetter(*V._mul[t])  # row of u -> its entries at tv
+        beta_t = beta[t]
+        for u, row in enumerate(beta):
+            ut, but = V._mul[u][t], row[t]
+            if any((x + y - z - but) % m
+                   for x, y, z in zip(t_v(row), beta_t, beta[ut])):
+                raise ValueError("multiplication table is not associative")
+    rel = [sum(1 << v for v, (x, y) in enumerate(zip(row, col)) if x == y)
+           for row, col in zip(block, zip(*block))]
+    full = (1 << size) - 1
+    center = sum(1 << u for u, r in enumerate(rel) if r == full)
+    return m * _max_related(V._mul, rel, center).bit_count()
+
+
+def extension_min_abelian_index(m: int, block, inv_table) -> int:
+    """|E| divided by extension_max_abelian_order, for E as given there."""
+    return _lagrange_index(m * len(block),
+                           extension_max_abelian_order(m, block, inv_table))
 
 
 def order_sequence(G: ConcreteGroup, cap: int = ENUMERATION_CAP) -> Counter:

@@ -529,12 +529,12 @@ class TestSanitySweep:
         return json.loads(out)["violations"]
 
     def test_repeats_within_a_level_collapse(self, monkeypatch, capsys):
-        # 14 of the sweep's rounds on Z2xZ2 fail the bridge with one message
+        # 10 of the sweep's rounds on Z2xZ2 fail the bridge with one message
         violations = self.zero_twist_violations(monkeypatch, capsys,
                                                 "--base-group", "Z2xZ2")
         assert violations == [
             "Z2xZ2: commutator mismatch: definitional (0; 0,0; 0,0) vs closed "
-            "form (2; 0,0; 0,0) (14 times)"
+            "form (2; 0,0; 0,0) (10 times)"
         ]
 
     def test_every_violation_names_its_level(self, monkeypatch, capsys):
@@ -614,11 +614,11 @@ class TestSanitySweep:
     def test_search_maximum_off_lagrange_exits_1(self, monkeypatch, capsys,
                                                  mode):
         # no subgroup of order 27 has order 7: the index is read through
-        # min_abelian_index's Lagrange check, the failure is a violation of
-        # that level, and the entry answers from the closed form
-        search = lattice.max_abelian_order
-        monkeypatch.setattr(lattice, "max_abelian_order",
-                            lambda G, cap: 7 if G.order == 27 else search(G, cap))
+        # extension_min_abelian_index's Lagrange check, the failure is a
+        # violation of that level, and the entry answers from the closed form
+        search = lattice.extension_max_abelian_order
+        monkeypatch.setattr(lattice, "extension_max_abelian_order",
+                            lambda m, *cells: 7 if m == 3 else search(m, *cells))
         code = main(["verify", "--base-group", "Z3", "--mode", mode,
                      "--format", "json", "--no-timestamps"])
         out, err = capsys.readouterr()
@@ -683,6 +683,32 @@ class TestSanitySweep:
         monkeypatch.setattr(ThetaGroup, "_mul", _carrying_mul(digit))
         assert self.sweep(level_data(n).theta)
 
+    def test_rare_cell_is_caught(self, monkeypatch, capsys):
+        # one wrong cell, (n - 1)(n - 1) = (0, 0, 0), at levels 7 and 8: the
+        # oracle reads only the a = 0 block, c's row and column and the
+        # inverses, and a random round meets that cell once in n^2, so the
+        # sweep's fixed edge rounds are what read it
+        def rare_cell(self, i, j):
+            if self.m > 6 and i == j == self.order - 1:
+                return 0
+            return _int_mul(self, i, j)
+
+        monkeypatch.setattr(ThetaGroup, "_mul", rare_cell)
+        code = main(["verify", "--max-n", "8", "--format", "json",
+                     "--no-timestamps"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_VIOLATION, "")
+        doc = json.loads(out)
+        tops = {n: f"({n - 1}; {n - 1}; {n - 1})" for n in (7, 8)}
+        assert doc["violations"] == [
+            f"level {n}: associativity failed at {at}"
+            for n in (8, 7)
+            for at in (f"{tops[n]}, {tops[n]}, (0; 1; 1)",
+                       f"(0; 1; 1), {tops[n]}, {tops[n]}")]
+        # the oracle's answers stand: the defect lies outside what it reads
+        assert [e["min_abelian_index"] for r in doc["reports"]
+                for e in r["entries"]] == [2, 4, 6, 8, 1, 3, 5, 7]
+
 
 class TestJordanCertificate:
     def test_odd_c1(self):
@@ -729,7 +755,7 @@ class TestJordanCertificate:
 
     def test_unknown_mode_before_any_table(self, monkeypatch):
         built = []
-        monkeypatch.setattr(ThetaGroup, "to_concrete",
+        monkeypatch.setattr(ThetaGroup, "min_abelian_index",
                             lambda *args: built.append(args))
         with pytest.raises(ValueError, match="unknown mode 'orakle'"):
             jordan_certificate(DiffeoClass(1), 1, mode="orakle")
@@ -798,13 +824,13 @@ class TestClassReport:
         # entries n = 2, 4, 6; the certificates for thresholds 1 and 5 land
         # on n = 2 and 6, whose oracle search the entries already ran
         built = []
-        original = ThetaGroup.to_concrete
+        original = ThetaGroup.min_abelian_index
 
         def counting(self, *args, **kwargs):
             built.append(self.order)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(ThetaGroup, "to_concrete", counting)
+        monkeypatch.setattr(ThetaGroup, "min_abelian_index", counting)
         report, violations = build_class_report(
             DiffeoClass(0), 6, thresholds=(1, 5), strict=False
         )
@@ -815,40 +841,52 @@ class TestClassReport:
     def test_default_run_builds_seven_tables(self, monkeypatch, capsys):
         # entries n = 1..6 and the one certificate level the entries do not
         # cover, n = 7 (class 1, threshold 5); the other certificates land on
-        # entries or lie above the 512 cap, and no table is built twice
-        built = []
-        original = ThetaGroup.to_concrete
+        # entries or lie above the 512 cap, and no level's law is read twice.
+        # The oracle reads the law's cells once per level and builds no
+        # table at all
+        built, tables = [], []
+        original = ThetaGroup.min_abelian_index
 
         def counting(self, *args, **kwargs):
             built.append(self.order)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(ThetaGroup, "to_concrete", counting)
+        monkeypatch.setattr(ThetaGroup, "min_abelian_index", counting)
+        monkeypatch.setattr(ThetaGroup, "to_concrete",
+                            lambda self, *args: tables.append(self.order))
         assert main(["verify"]) == 0
         capsys.readouterr()
         assert sorted(built) == [1, 8, 27, 64, 125, 216, 343]
+        assert tables == []
 
 
 class TestAdmission:
-    """Every input of a run is checked before its first sweep or table."""
+    """Every input of a run is checked before its first sweep or oracle run."""
 
     @pytest.fixture
     def work(self, monkeypatch):
-        # records each sweep and table build, and still runs it
+        # records each sweep and oracle run, and still runs it
         done = []
-        sweep, build = bundlemodel._sanity_sweep, ThetaGroup.to_concrete
+        sweep, build = bundlemodel._sanity_sweep, ThetaGroup.min_abelian_index
 
         def swept(theta, rng):
             done.append(("sweep", theta.order))
             return sweep(theta, rng)
 
         def built(self, *args, **kwargs):
-            done.append(("table", self.order))
+            done.append(("oracle", self.order))
             return build(self, *args, **kwargs)
 
         monkeypatch.setattr(bundlemodel, "_sanity_sweep", swept)
-        monkeypatch.setattr(ThetaGroup, "to_concrete", built)
+        monkeypatch.setattr(ThetaGroup, "min_abelian_index", built)
         return done
+
+    def test_admitted_run_is_recorded(self, work):
+        # the fixture sees the work it guards against: a sweep and an oracle
+        # run per level, and none for the certificate on level 2, whose
+        # evidence the entry already holds
+        build_class_report(DiffeoClass(0), 4, mode="oracle", thresholds=(1,))
+        assert work == [("sweep", 8), ("oracle", 8), ("sweep", 64), ("oracle", 64)]
 
     def test_class_report_admits_every_level(self, work):
         # levels 2..8 fit the 512 cap; level 10 does not

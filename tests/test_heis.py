@@ -5,15 +5,31 @@ from itertools import repeat
 
 import pytest
 
-from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
+from thetajordan.abelian import (
+    CapExceeded,
+    FiniteAbelianGroup,
+    make_group,
+    parse_group_spec,
+)
 from thetajordan.heis import (
     ThetaElement,
+    ThetaGroup,
     format_element,
     parse_element,
     theta_group,
 )
+from thetajordan.lattice import min_abelian_index
 
 from helpers import char_value_complex, divisor_chains, root_of_unity
+from test_bundlemodel import (
+    BROKEN_TABLES,
+    _doubled_central_mul,
+    _first_coordinate_twist,
+    _int_mul,
+    _twisted_law,
+    _zero_twist,
+    on_indices,
+)
 from test_law_reference import counting_checks
 
 
@@ -412,3 +428,68 @@ class TestConcrete:
         G = theta([2])
         C = G.to_concrete()
         assert C.describe(0) == "(0; 0; 0)"
+
+
+def _wrong_cell(i0, j0):
+    """The law with one a = 0 block cell, (i0, j0), moved to the next index."""
+    def mul(self, i, j):
+        r = _int_mul(self, i, j)
+        return (r + 1) % self.order if (i, j) == (i0, j0) else r
+
+    return mul
+
+
+def _outcome(fn):
+    """fn's result, or the text of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestOracle:
+    """ThetaGroup.min_abelian_index, which proves and searches the central
+    extension read off the law's cells, against the search on the whole
+    table that lattice.min_abelian_index runs on to_concrete."""
+
+    def test_cap(self):
+        # the default cap is the CLI's, 512: order 729 is refused before
+        # any law cell is read
+        with pytest.raises(CapExceeded, match="^oracle search of order 729 "
+                                              "exceeds the cap 512$"):
+            theta([9]).min_abelian_index()
+        with pytest.raises(ValueError, match="^cap None is not an integer$"):
+            theta([2]).min_abelian_index(cap=None)
+        assert theta([9]).min_abelian_index(cap=729) == 9
+
+    @pytest.mark.parametrize("factors", divisor_chains(8), ids=str)
+    def test_equals_the_table_search(self, factors):
+        # every base with |K| <= 8, so every theta order up to 512
+        G = theta_group(FiniteAbelianGroup(factors))
+        assert G.min_abelian_index() == min_abelian_index(G.to_concrete()) == G.m
+
+    @pytest.mark.parametrize("spec, law, want", [
+        ("Z2xZ2", _twisted_law(_zero_twist), 1),
+        ("Z4", _twisted_law(_zero_twist), 1),
+        ("Z4xZ2", _twisted_law(_first_coordinate_twist), 2),
+        # (0; 0; 1)^2 lands on (0; 1; 0): the block stays a loop with the
+        # law's inverses, and only associativity fails
+        ("Z3", {"_mul": _wrong_cell(1, 1)}, "multiplication table is not associative"),
+        ("Z3", {"_mul": _wrong_cell(0, 4)}, "index 0 is not a two-sided identity"),
+        ("Z8", {"_mul": on_indices(_doubled_central_mul)}, None),
+        *[(spec, BROKEN_TABLES[name], None)
+          for name in BROKEN_TABLES for spec in ("Z5", "Z2xZ4")],
+    ], ids=["zero twist Z2xZ2", "zero twist Z4", "first-coordinate twist Z4xZ2",
+            "wrong cell Z3", "wrong identity cell Z3", "doubled central Z8",
+            *[f"{name} {spec}" for name in BROKEN_TABLES for spec in ("Z5", "Z2xZ4")]])
+    def test_planted_defects_match_the_table_path(self, monkeypatch, spec, law,
+                                                  want):
+        # the same index, or the same ValueError text: the table is the
+        # extension, so the first failing element is the same.  want None:
+        # a law whose cells make no group, whatever the text
+        for name, fn in law.items():
+            monkeypatch.setattr(ThetaGroup, name, fn)
+        G = theta_group(parse_group_spec(spec))
+        got = _outcome(G.min_abelian_index)
+        assert got == _outcome(lambda: min_abelian_index(G.to_concrete()))
+        assert got == want if want is not None else isinstance(got, str)

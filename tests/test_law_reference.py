@@ -8,13 +8,14 @@ result, and every rejected one the same ValueError message.
 """
 
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from thetajordan.abelian import FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import level_data
 from thetajordan.heis import (
+    EDGE_ROUNDS,
     SWEEP_ROUNDS,
     ThetaElement,
     ThetaGroup,
@@ -276,17 +277,24 @@ def ref_commutator(G, g, h):
     return direct
 
 
+def ref_edge(theta, a, k, l):
+    """The EDGE_ROUNDS element (a, k, l), built digit by digit."""
+    fs = theta.base.invariant_factors
+    return ThetaElement(a % theta.m, tuple(k % d for d in fs),
+                        tuple(l % d for d in fs))
+
+
 def ref_sweep(theta, rng):
     """The sanity sweep composed of the validated public mul and inv, which
     re-check every operand, so each round makes 18 checks.  It draws each
-    element as the sweep does, as one index rng.randrange(order), and
-    renders elements with format_element."""
+    element as the sweep does, as one index rng.randrange(order), then
+    runs the EDGE_ROUNDS, and renders elements with format_element."""
     out = []
     e = theta.identity()
-    for _ in range(SWEEP_ROUNDS):
-        g = theta.element(rng.randrange(theta.order))
-        h = theta.element(rng.randrange(theta.order))
-        f = theta.element(rng.randrange(theta.order))
+    drawn = ([theta.element(rng.randrange(theta.order)) for _ in "ghf"]
+             for _ in range(SWEEP_ROUNDS - len(EDGE_ROUNDS)))
+    edges = ([ref_edge(theta, *x) for x in triple] for triple in EDGE_ROUNDS)
+    for g, h, f in chain(drawn, edges):
         at = ", ".join(map(format_element, (g, h, f)))
         try:
             if theta.mul(theta.mul(g, h), f) != theta.mul(g, theta.mul(h, f)):
