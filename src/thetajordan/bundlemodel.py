@@ -13,9 +13,7 @@ sanity sweep of the group law.
 
 from __future__ import annotations
 
-import io
 import json
-import os
 import random
 from collections import Counter
 from time import perf_counter
@@ -29,10 +27,6 @@ from .symplectic import structural_min_abelian_index
 
 SCHEMA_VERSION = "theta-jordan/1"
 DEFAULT_THRESHOLDS = (1, 5, 10, 1_000_000)
-
-# Test hook: when set, the oracle reads a deliberately wrong (abelian) law,
-# which must drive a run's exit code to 1.
-CORRUPT_ENV_VAR = "THETA_JORDAN_CORRUPT_MUL"
 
 # The level-k symmetry group is pinned to the full k-torsion of the torus,
 # the smallest model compatible with the construction; reports carry this
@@ -161,17 +155,6 @@ class VerificationReport(NamedTuple):
     threshold_certificates: tuple[Certificate, ...]
 
 
-class _CyclicTheta(ThetaGroup):
-    """Under CORRUPT_ENV_VAR, the law the oracle reads: the cyclic group of
-    the theta group's order, whose cells make an abelian extension."""
-
-    def _mul(self, i: int, j: int) -> int:
-        return (i + j) % self.order
-
-    def _inv(self, i: int) -> int:
-        return -i % self.order
-
-
 def _check_run(mode: str, oracle_cap: int, levels=()) -> int:
     """The one admission rule, run before any sweep or table: the oracle cap
     as an int, ValueError naming a bad mode or cap, and in mode 'oracle'
@@ -217,9 +200,8 @@ def _index_evidence(level: LevelData, mode: str, oracle_cap: int,
     evidence = {} if evidence is None else evidence
     key = (level, mode)
     if key not in evidence:
-        law = _CyclicTheta(theta.base) if os.environ.get(CORRUPT_ENV_VAR) else theta
         try:
-            oidx = law.min_abelian_index(oracle_cap)
+            oidx = theta.min_abelian_index(oracle_cap)
         except ValueError as exc:  # the law's own cells: a broken law fails here
             return evidence.setdefault(key, structural._replace(
                 violation=f"theta table is not a group: {exc}"))
@@ -379,21 +361,22 @@ def document(reports, config_echo: dict, violations,
     return doc
 
 
-def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+# Each renderer writes the document to fh, an open text stream.
+
+def render_json(doc: dict, fh) -> None:
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
-def render_csv(doc: dict) -> str:
+def render_csv(doc: dict, fh) -> None:
     """One verification entry per row, across all classes in the document."""
     import csv  # only this renderer needs it
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["class", *ReportEntry._fields])
     for report in doc["reports"]:
         for e in report["entries"]:
             writer.writerow([report["manifold_class"],
                              *(e.get(field, "") for field in ReportEntry._fields)])
-    return buf.getvalue()
 
 
 def _aligned(rows: list[list[str]]) -> list[str]:
@@ -401,7 +384,7 @@ def _aligned(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
 
 
-def render_table(doc: dict) -> str:
+def render_table(doc: dict, fh) -> None:
     lines = [f"{doc['schema']}  (abelian-index verification)"]
     if "generated_at" in doc:
         lines.append(f"generated at {doc['generated_at']}")
@@ -428,4 +411,4 @@ def render_table(doc: dict) -> str:
         lines.extend(f"  {v}" for v in doc["violations"])
     lines.append("")
     lines.append("result: " + ("OK" if doc["ok"] else "FAILED"))
-    return "\n".join(lines) + "\n"
+    fh.writelines(f"{line}\n" for line in lines)

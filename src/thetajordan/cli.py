@@ -157,13 +157,13 @@ def run(config: RunConfig):
         from datetime import datetime, timezone  # only timestamped runs need it
         generated = datetime.now(timezone.utc).isoformat(timespec="seconds")
     doc = document(reports, _config_echo(config), violations, generated_at=generated)
-    text = _RENDERERS[config.output_format](doc)
+    render = _RENDERERS[config.output_format]
     try:
         if config.output_path:
             with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                render(doc, fh)
         else:
-            sys.stdout.write(text)
+            render(doc, sys.stdout)
     except OSError as exc:
         print(f"theta-jordan: cannot write report: {exc}", file=sys.stderr)
         return doc, EXIT_IO

@@ -49,7 +49,8 @@ from .lattice import (
     ConcreteGroup,
     DEFAULT_ORACLE_CAP,
     Subgroup,
-    extension_min_abelian_index,
+    _lagrange_index,
+    extension_max_abelian_order,
 )
 
 SWEEP_ROUNDS = 24
@@ -345,13 +346,14 @@ class ThetaGroup:
         """The oracle: the minimal abelian index, from the law alone.
 
         It proves and searches the central extension Z_m x_beta V that
-        _law_cells reads (lattice.extension_min_abelian_index): m^4 block
+        _law_cells reads (lattice.extension_max_abelian_order): m^4 block
         cells, not to_concrete's m^6 entries, with the same answer and the
         same ValueError for cells that make no group.  RuntimeError when
         the search maximum breaks Lagrange.
         """
         check_cap(self.order, cap, "oracle search")
-        return extension_min_abelian_index(self.m, *self._law_cells())
+        return _lagrange_index(
+            self.order, extension_max_abelian_order(self.m, *self._law_cells()))
 
     def random_element(self, rng) -> ThetaElement:
         """Digits a, then k, then l, each drawn by rng.randrange(d)."""

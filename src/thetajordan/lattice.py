@@ -394,12 +394,6 @@ def extension_max_abelian_order(m: int, block, inv_table) -> int:
     return m * _max_related(V._mul, rel, center).bit_count()
 
 
-def extension_min_abelian_index(m: int, block, inv_table) -> int:
-    """|E| divided by extension_max_abelian_order, for E as given there."""
-    return _lagrange_index(m * len(block),
-                           extension_max_abelian_order(m, block, inv_table))
-
-
 def order_sequence(G: ConcreteGroup, cap: int = ENUMERATION_CAP) -> Counter:
     """Multiset {element order: count}; a cheap isomorphism-class fingerprint."""
     check_cap(G.order, cap, "concrete group")

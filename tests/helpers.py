@@ -178,3 +178,20 @@ def naive_max_abelian_order(mul, identity=0):
 def concrete_mul_table(G):
     """Copy a ConcreteGroup's multiplication into a plain list table."""
     return [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)]
+
+
+# A planted law for ThetaGroup: the cyclic group of the theta group's order,
+# (i + j) mod n and -i mod n.  Its cells make an abelian extension, so every
+# run that reads it must fail, in the sweep and in the oracle.
+CYCLIC_LAW = {
+    "_mul": lambda self, i, j: (i + j) % self.order,
+    "_inv": lambda self, i: -i % self.order,
+}
+
+
+def plant_law(monkeypatch, law):
+    """Patch ThetaGroup's unchecked law with the methods in law."""
+    from thetajordan.heis import ThetaGroup
+
+    for name, fn in law.items():
+        monkeypatch.setattr(ThetaGroup, name, fn)

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import re
@@ -5,10 +6,10 @@ import time
 
 import pytest
 
-from thetajordan import bundlemodel, lattice
+from helpers import CYCLIC_LAW, plant_law
+from thetajordan import bundlemodel, heis
 from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
 from thetajordan.bundlemodel import (
-    CORRUPT_ENV_VAR,
     BoundViolation,
     DiffeoClass,
     build_class_report,
@@ -294,7 +295,7 @@ class TestVerifyLevel:
         assert entry.elapsed_s is None
 
     def test_corrupt_mul_is_flagged(self, monkeypatch):
-        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
+        plant_law(monkeypatch, CYCLIC_LAW)
         entry, violations = verify_level(level_data(2))
         assert entry.min_abelian_index == 1
         assert violations  # both the bound and the agreement break
@@ -558,8 +559,7 @@ class TestSanitySweep:
         # the table is read off the law, so a broken law fails the table's
         # group check: a violation of that level, not a usage error, and
         # the entry answers from the closed form
-        for name, fn in BROKEN_TABLES[law].items():
-            monkeypatch.setattr(ThetaGroup, name, fn)
+        plant_law(monkeypatch, BROKEN_TABLES[law])
         code = main(["verify", "--base-group", spec, "--mode", mode,
                      "--format", "json", "--no-timestamps"])
         out, err = capsys.readouterr()
@@ -614,10 +614,10 @@ class TestSanitySweep:
     def test_search_maximum_off_lagrange_exits_1(self, monkeypatch, capsys,
                                                  mode):
         # no subgroup of order 27 has order 7: the index is read through
-        # extension_min_abelian_index's Lagrange check, the failure is a
+        # ThetaGroup.min_abelian_index's Lagrange check, the failure is a
         # violation of that level, and the entry answers from the closed form
-        search = lattice.extension_max_abelian_order
-        monkeypatch.setattr(lattice, "extension_max_abelian_order",
+        search = heis.extension_max_abelian_order
+        monkeypatch.setattr(heis, "extension_max_abelian_order",
                             lambda m, *cells: 7 if m == 3 else search(m, *cells))
         code = main(["verify", "--base-group", "Z3", "--mode", mode,
                      "--format", "json", "--no-timestamps"])
@@ -631,8 +631,7 @@ class TestSanitySweep:
                                      "maximum 7 does not divide the order 27"]
 
     def test_broken_table_is_returned_not_raised(self, monkeypatch):
-        for name, fn in BROKEN_TABLES["cubic"].items():
-            monkeypatch.setattr(ThetaGroup, name, fn)
+        plant_law(monkeypatch, BROKEN_TABLES["cubic"])
         entry, violations = verify_level(level_data(5), mode="oracle")
         assert (entry.min_abelian_index, entry.method) == (5, "structural")
         assert violations[-1] == ("level 5: theta table is not a group: "
@@ -770,7 +769,7 @@ class TestJordanCertificate:
         assert type(jordan_certificate(DiffeoClass(1), True).threshold) is int
 
     def test_corruption_raises_bound_violation(self, monkeypatch):
-        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
+        plant_law(monkeypatch, CYCLIC_LAW)
         # 'both' sees the disagreement and names the threshold first
         with pytest.raises(BoundViolation, match="^threshold 1: level 2: oracle"):
             jordan_certificate(DiffeoClass(0), 1)
@@ -803,7 +802,12 @@ class TestClassReport:
                 cls, 3, thresholds=(threshold,), with_timing=False
             )
             doc = document([report], {}, [])
-            return [render(doc) for render in (render_json, render_csv, render_table)]
+            out = []
+            for render in (render_json, render_csv, render_table):
+                fh = io.StringIO()
+                render(doc, fh)
+                out.append(fh.getvalue())
+            return out
 
         assert rendered(DiffeoClass(True), True) == rendered(DiffeoClass(1), 1)
 
@@ -816,9 +820,13 @@ class TestClassReport:
         assert all(e.min_abelian_index >= e.n for e in report.entries)
 
     def test_strict_mode_aborts_on_violation(self, monkeypatch):
-        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
+        plant_law(monkeypatch, CYCLIC_LAW)
         with pytest.raises(BoundViolation):
             build_class_report(DiffeoClass(0), 2, thresholds=())
+
+    def test_library_ignores_the_corrupt_variable(self, monkeypatch):
+        monkeypatch.setenv("THETA_JORDAN_CORRUPT_MUL", "1")
+        build_class_report(DiffeoClass(0), 2, thresholds=())
 
     def test_certificates_reuse_entry_tables(self, monkeypatch):
         # entries n = 2, 4, 6; the certificates for thresholds 1 and 5 land

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from thetajordan.bundlemodel import CORRUPT_ENV_VAR
+from helpers import CYCLIC_LAW, plant_law
 from thetajordan.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -19,6 +19,9 @@ from thetajordan.cli import (
     parse_args,
     run,
 )
+
+
+CORRUPT_ENV_VAR = "THETA_JORDAN_CORRUPT_MUL"
 
 
 def parse(cmdline):
@@ -222,7 +225,7 @@ class TestRun:
         assert "cannot write" in capsys.readouterr().err
 
     def test_corrupt_hook_forces_violation(self, monkeypatch, capsys):
-        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
+        plant_law(monkeypatch, CYCLIC_LAW)
         doc, code = run(parse("verify --class 0 --max-n 2 --format json"))
         capsys.readouterr()
         assert code == EXIT_VIOLATION
@@ -233,7 +236,7 @@ class TestRun:
         # level 3's disagreement shows up in its entry and in the threshold-1
         # certificate, which lands on level 3 too; the certificate's line
         # names its threshold
-        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
+        plant_law(monkeypatch, CYCLIC_LAW)
         doc, code = run(parse("verify --class 1 --max-n 3 --no-timestamps"))
         out = capsys.readouterr().out
         assert code == EXIT_VIOLATION
@@ -253,6 +256,16 @@ class TestRun:
         assert code == EXIT_OK
         assert doc["reports"][0]["entries"] == []
         assert "  (no levels in range)\n" in out
+
+    def test_library_ignores_the_corrupt_variable(self, monkeypatch, capsys):
+        # only the python -m launcher reads it; main() runs the true law
+        argv = ["verify", "--class", "0", "--max-n", "2", "--format", "json",
+                "--no-timestamps"]
+        assert main(argv) == EXIT_OK
+        clean = capsys.readouterr()
+        monkeypatch.setenv(CORRUPT_ENV_VAR, "1")
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == clean
 
     def test_main_returns_exit_code(self, capsys):
         assert main(["verify", "--max-n", "2", "--class", "1"]) == EXIT_OK
@@ -313,7 +326,7 @@ class TestBinary:
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["ok"] is True
 
-    # sha256 of the JSON report's stdout bytes, so a run is compared with a
+    # sha256 of the report's stdout bytes, so a run is compared with a
     # fixed product, not only with another run of the same code.  A change
     # that alters the output on purpose updates these digests and says so.
     PINNED = {
@@ -326,10 +339,15 @@ class TestBinary:
             "3300fcec7e5c058bc7bb8a23e3d236c5cce850f06c977f3e008c40ba7ae53571",
         "--mode oracle --max-n 8":
             "3d2141dbf829dd68fe694929120e0567b8eda76fc92ea08b4ed9e0a7cdd8b75e",
+        "--max-n 8 --format csv":
+            "86dc163473ca7ce447773ac287b9f61bd91797e72485cf0289b097545b6e4a95",
+        "--max-n 8 --format table":
+            "fc571a478ce5bedcf3e4689af347aaf4fad0f48fe36f128aca28b9a31be4677c",
     }
 
     @pytest.mark.parametrize("args", PINNED)
     def test_pinned_product_bytes(self, args):
-        done = run_cli(["verify", *args.split(), "--format", "json", "--no-timestamps"])
+        # json unless args name another format: the last --format wins
+        done = run_cli(["verify", "--format", "json", *args.split(), "--no-timestamps"])
         assert done.returncode == EXIT_OK, done.stderr
         assert hashlib.sha256(done.stdout.encode()).hexdigest() == self.PINNED[args]

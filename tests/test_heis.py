@@ -13,14 +13,19 @@ from thetajordan.abelian import (
 )
 from thetajordan.heis import (
     ThetaElement,
-    ThetaGroup,
     format_element,
     parse_element,
     theta_group,
 )
 from thetajordan.lattice import min_abelian_index
 
-from helpers import char_value_complex, divisor_chains, root_of_unity
+from helpers import (
+    CYCLIC_LAW,
+    char_value_complex,
+    divisor_chains,
+    plant_law,
+    root_of_unity,
+)
 from test_bundlemodel import (
     BROKEN_TABLES,
     _doubled_central_mul,
@@ -477,18 +482,20 @@ class TestOracle:
         ("Z3", {"_mul": _wrong_cell(1, 1)}, "multiplication table is not associative"),
         ("Z3", {"_mul": _wrong_cell(0, 4)}, "index 0 is not a two-sided identity"),
         ("Z8", {"_mul": on_indices(_doubled_central_mul)}, None),
+        ("Z2xZ2", CYCLIC_LAW, 1),
+        ("Z3", CYCLIC_LAW, 1),
         *[(spec, BROKEN_TABLES[name], None)
           for name in BROKEN_TABLES for spec in ("Z5", "Z2xZ4")],
     ], ids=["zero twist Z2xZ2", "zero twist Z4", "first-coordinate twist Z4xZ2",
             "wrong cell Z3", "wrong identity cell Z3", "doubled central Z8",
+            "cyclic Z2xZ2", "cyclic Z3",
             *[f"{name} {spec}" for name in BROKEN_TABLES for spec in ("Z5", "Z2xZ4")]])
     def test_planted_defects_match_the_table_path(self, monkeypatch, spec, law,
                                                   want):
         # the same index, or the same ValueError text: the table is the
         # extension, so the first failing element is the same.  want None:
         # a law whose cells make no group, whatever the text
-        for name, fn in law.items():
-            monkeypatch.setattr(ThetaGroup, name, fn)
+        plant_law(monkeypatch, law)
         G = theta_group(parse_group_spec(spec))
         got = _outcome(G.min_abelian_index)
         assert got == _outcome(lambda: min_abelian_index(G.to_concrete()))

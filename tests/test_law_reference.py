@@ -25,7 +25,7 @@ from thetajordan.heis import (
 )
 
 import test_bundlemodel
-from helpers import divisor_chains
+from helpers import divisor_chains, plant_law
 
 
 def ref_base_check(K, x):
@@ -370,8 +370,7 @@ class TestSweepAgainstReference:
 
     @pytest.mark.parametrize("law", LAWS)
     def test_same_violations(self, monkeypatch, law):
-        for name, fn in LAWS[law].items():
-            monkeypatch.setattr(ThetaGroup, name, fn)
+        plant_law(monkeypatch, LAWS[law])
         violations = 0
         for theta in self.THETAS:
             for seed in range(5):
