@@ -15,7 +15,8 @@ central extension Z_m x_beta V, given by its block over V, on V itself.
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter
 from typing import Callable, Iterable
 
 from .abelian import ENUMERATION_CAP, _Frozen, check_cap, index_tuple
@@ -272,14 +273,16 @@ def all_subgroups(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> list[Subgr
     return subs
 
 
-def _max_related(mul, rel: list[int], start: int) -> int:
-    # Largest subgroup containing `start` whose members pairwise relate.
-    # rel[g] masks the elements related to g: a subgroup containing g, by a
-    # symmetric relation under which an h related to all of a subgroup S
-    # normalizes S, so <S, h> is a union of cosets.  `start` is a subgroup
-    # related to every element.  Growth adjoins related elements on all
-    # branches, deduplicated by mask, and prunes a branch whose related set
-    # cannot beat the best order found.
+def _max_related(mul, rel: list[int]) -> int:
+    # Largest subgroup whose members pairwise relate.  rel[g] masks the
+    # elements related to g: a subgroup containing g, by a symmetric
+    # relation under which an h related to all of a subgroup S normalizes S,
+    # so <S, h> is a union of cosets.  The search starts from R, the
+    # elements related to every element: the intersection of the rel rows,
+    # so a subgroup, and it lies in every maximal answer.  Growth adjoins
+    # related elements on all branches, deduplicated by mask, and prunes a
+    # branch whose related set cannot beat the best order found.
+    start = reduce(and_, rel)
     best, best_size = start, start.bit_count()
     seen = set()
     stack = [(start, (1 << len(mul)) - 1)]
@@ -334,8 +337,7 @@ def max_abelian_order(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
             if row[b] == mul[b][a]:
                 rel |= 1 << j
         qrel.append(rel)
-    start = 1 << coset[G.identity]
-    return _max_related(qmul, qrel, start).bit_count() * len(center)
+    return _max_related(qmul, qrel).bit_count() * len(center)
 
 
 def min_abelian_index(G: ConcreteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -389,9 +391,7 @@ def extension_max_abelian_order(m: int, block, inv_table) -> int:
                 raise ValueError("multiplication table is not associative")
     rel = [sum(1 << v for v, (x, y) in enumerate(zip(row, col)) if x == y)
            for row, col in zip(block, zip(*block))]
-    full = (1 << size) - 1
-    center = sum(1 << u for u, r in enumerate(rel) if r == full)
-    return m * _max_related(V._mul, rel, center).bit_count()
+    return m * _max_related(V._mul, rel).bit_count()
 
 
 def order_sequence(G: ConcreteGroup, cap: int = ENUMERATION_CAP) -> Counter:

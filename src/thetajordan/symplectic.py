@@ -157,13 +157,13 @@ def max_isotropic_order(space: PairingSpace, method: str = "both",
     m, K = space.m, space.base
     els = K.elements(cap)
     ev = [[K._pairing(l, x) for x in els] for l in els]
-    # iso[i] masks the points pairing to 0 with point i; 1 masks {zero}
+    # iso[i] masks the points pairing to 0 with point i
     iso = [
         sum(1 << (k2 * m + l2) for k2 in range(m) for l2 in range(m)
             if ev[l2][k] == ev[l][k2])
         for k in range(m) for l in range(m)
     ]
-    best = _max_related(space.to_concrete(cap)._mul, iso, 1).bit_count()
+    best = _max_related(space.to_concrete(cap)._mul, iso).bit_count()
     if method == "both" and best != structural:
         raise RuntimeError(
             f"brute-force isotropic maximum {best} disagrees with the "

@@ -17,7 +17,6 @@ from thetajordan.bundlemodel import (
     diffeo_class,
     family_for_class,
     jordan_certificate,
-    level_data,
     torsion_group,
     torsion_inclusion,
 )

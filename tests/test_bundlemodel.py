@@ -1,14 +1,13 @@
 import io
-import json
 import random
 import re
 import time
 
 import pytest
 
-from helpers import CYCLIC_LAW, plant_law
-from thetajordan import bundlemodel, heis
-from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
+from helpers import LAWS, THETAS, plant_law, planted_tests, recording
+from thetajordan import bundlemodel
+from thetajordan.abelian import CapExceeded, make_group
 from thetajordan.bundlemodel import (
     BoundViolation,
     DiffeoClass,
@@ -26,8 +25,8 @@ from thetajordan.bundlemodel import (
     torsion_inclusion,
     verify_level,
 )
-from thetajordan.cli import EXIT_VIOLATION, main
-from thetajordan.heis import ThetaElement, ThetaGroup, _sanity_sweep, theta_group
+from thetajordan.cli import main
+from thetajordan.heis import ThetaGroup, _sanity_sweep, theta_group
 
 
 class TestTorsionGroup:
@@ -295,169 +294,16 @@ class TestVerifyLevel:
         assert entry.elapsed_s is None
 
     def test_corrupt_mul_is_flagged(self, monkeypatch):
-        plant_law(monkeypatch, CYCLIC_LAW)
+        plant_law(monkeypatch, LAWS["cyclic"])
         entry, violations = verify_level(level_data(2))
         assert entry.min_abelian_index == 1
         assert violations  # both the bound and the agreement break
 
 
-# Broken laws, patched into the one unchecked law (ThetaGroup._mul and
-# _inv) that the validated public methods, the sanity sweep and the
-# oracle's table all run.
-# The law runs on element indices; each broken law below is written on
-# ThetaElements and patched in through on_indices.
-_int_mul = ThetaGroup._mul
-_int_inv = ThetaGroup._inv
-
-
-def _rank(self, g):
-    """Index of g by the base's unchecked codec: a digit the law left out of
-    range stays out, so a leaky law gives an index past the order."""
-    rank = self.base._rank
-    return g.a * self._mm + rank(g.k) * self.m + rank(g.l)
-
-
-def on_indices(law):
-    """law on ThetaElements as a law on indices: operands decoded by
-    _parts, the result encoded by _rank.  Both are exact on the group, so
-    the law's products are the same on every pair."""
-    def on_ints(self, *indices):
-        return _rank(self, law(self, *map(self._parts, indices)))
-
-    return on_ints
-
-
-def _correct_mul(self, g, h):
-    return self._parts(_int_mul(self, _rank(self, g), _rank(self, h)))
-
-
-def _correct_inv(self, g):
-    return self._parts(_int_inv(self, _rank(self, g)))
-
-
-def _leaky_mul(self, g, h):
-    """The theta law without its final reduction of the central exponent."""
-    K = self.base
-    twist = K.evaluate(h.l, g.k, self.m)
-    return ThetaElement(g.a + h.a + twist, K.add(g.k, h.k), K.add(g.l, h.l))
-
-
-def _cubic_mul(self, g, h):
-    """The twist gains g.k^2 * h.k on the last base coordinate, which is not
-    a cocycle when that coordinate's factor is above 2 (on Z2 it is one),
-    so the law is not associative."""
-    right = _correct_mul(self, g, h)
-    return right._replace(a=(right.a + g.k[-1] ** 2 * h.k[-1]) % self.m)
-
-
-def _cubic_inv(self, g):
-    """Right inverse under _cubic_mul."""
-    right = _correct_inv(self, g)
-    return right._replace(a=(right.a - g.k[-1] ** 2 * right.k[-1]) % self.m)
-
-
-def _off_by_one_inv(self, g):
-    right = _correct_inv(self, g)
-    return right._replace(a=(right.a + 1) % self.m)
-
-
-def _leaky_inv(self, g):
-    """The closed-form inverse, with m added to its central exponent when
-    g.k is zero: out of range, though the law's reduction mod m absorbs it
-    in g g^-1, so only a check of g^-1 itself sees the leak at such a g."""
-    right = _correct_inv(self, g)
-    return right._replace(a=right.a + self.m * (not any(g.k)))
-
-
-def _symmetric_mul(self, g, h):
-    """An abelian group law: the twist <h.l, g.k> + <g.l, h.k> is a
-    symmetric bilinear cocycle, so associativity and inverses hold."""
-    right = _correct_mul(self, g, h)
-    extra = self.base.evaluate(g.l, h.k, self.m)
-    return right._replace(a=(right.a + extra) % self.m)
-
-
-def _symmetric_inv(self, g):
-    right = _correct_inv(self, g)
-    extra = self.base.evaluate(g.l, g.k, self.m)
-    return right._replace(a=(right.a + extra) % self.m)
-
-
-def _doubled_central_mul(self, g, h):
-    """The central exponents add as a + 2a': the law is right on the a' = 0
-    block, which is all of the table that the central rotations do not
-    fill in."""
-    right = _correct_mul(self, g, h)
-    return right._replace(a=(right.a + h.a) % self.m)
-
-
-def _zero_twist(self, l, k):
-    """<l, k> = 0 everywhere: the law becomes the abelian Z_m x K x K^."""
-    return 0
-
-
-def _first_coordinate_twist(self, l, k):
-    """<l, k> from the first base coordinate alone, dropping the rest."""
-    return l[0] * k[0] * (self.m // self.base.invariant_factors[0]) % self.m
-
-
-def _twisted_law(twist):
-    """The theta law with twist(self, l, k) in place of <l, k>, as the
-    _mul and _inv it replaces."""
-    def mul(self, g, h):
-        K = self.base
-        a = (g.a + h.a + twist(self, h.l, g.k)) % self.m
-        return ThetaElement(a, K.add(g.k, h.k), K.add(g.l, h.l))
-
-    def inv(self, g):
-        K = self.base
-        a = (twist(self, g.l, g.k) - g.a) % self.m
-        return ThetaElement(a, K.neg(g.k), K.neg(g.l))
-
-    return {"_mul": on_indices(mul), "_inv": on_indices(inv)}
-
-
-def _float_mul(self, i, j):
-    """The law's products as floats: 2.0 == 2 passes every range compare."""
-    return float(_int_mul(self, i, j))
-
-
-def _carrying_mul(digit):
-    """The scalar law with the % m of one digit, "k" or "l", dropped: its
-    carry runs into the digit above, so products change or leave the
-    group.  On a non-cyclic base it reads the ranks of k and l as digits."""
-    def carrying_mul(self, i, j):
-        m, mm = self.m, self._mm
-        ga, gkl = divmod(i, mm)
-        gk, gl = divmod(gkl, m)
-        ha, hkl = divmod(j, mm)
-        hk, hl = divmod(hkl, m)
-        k, l = gk + hk, gl + hl
-        if digit == "k":
-            l %= m
-        else:
-            k %= m
-        return (ga + ha + hl * gk) % m * mm + k * m + l
-
-    return carrying_mul
-
-
-# name -> the unchecked law methods a law replaces; each fails the group
-# check of the table the oracle reads off the law
-BROKEN_TABLES = {
-    "cubic": {"_mul": on_indices(_cubic_mul), "_inv": on_indices(_cubic_inv)},
-    "off-by-one inverse": {"_inv": on_indices(_off_by_one_inv)},
-    "float": {"_mul": _float_mul},
-    "carrying k": {"_mul": _carrying_mul("k")},
-    "carrying l": {"_mul": _carrying_mul("l")},
-}
-
-
+# with the runs of the command line under a planted defect that
+# helpers.PLANTED_RUNS lists under TestSanitySweep
+@planted_tests
 class TestSanitySweep:
-    THETAS = [level_data(n).theta for n in (1, 2, 5, 12)] + [
-        theta_group(make_group(fs)) for fs in ([2, 2], [4, 2], [2, 2, 2])
-    ]
-
     @staticmethod
     def sweep(theta, seed=7):
         return _sanity_sweep(theta, random.Random(seed))
@@ -467,32 +313,30 @@ class TestSanitySweep:
         return {v.split(" failed at")[0].split(":")[0] for v in violations}
 
     def test_correct_law_is_clean(self):
-        for theta in self.THETAS:
+        for theta in THETAS:
             for seed in range(3):
                 assert self.sweep(theta, seed) == []
 
     def test_broken_associativity(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_cubic_mul))
-        monkeypatch.setattr(ThetaGroup, "_inv", on_indices(_cubic_inv))
+        plant_law(monkeypatch, LAWS["cubic"])
         violations = self.sweep(level_data(5).theta)
         assert "associativity" in self.kinds(violations)
         assert "inverse law" not in self.kinds(violations)
 
     def test_broken_inverse_law(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "_inv", on_indices(_off_by_one_inv))
+        plant_law(monkeypatch, LAWS["off-by-one inverse"])
         violations = self.sweep(level_data(5).theta)
         assert "inverse law" in self.kinds(violations)
         assert "associativity" not in self.kinds(violations)
 
     def test_broken_commutator_bridge(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_symmetric_mul))
-        monkeypatch.setattr(ThetaGroup, "_inv", on_indices(_symmetric_inv))
+        plant_law(monkeypatch, LAWS["symmetric"])
         violations = self.sweep(level_data(5).theta)
         assert violations
         assert self.kinds(violations) == {"commutator mismatch"}
 
     def test_law_leaving_the_group_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_leaky_mul))
+        plant_law(monkeypatch, LAWS["leaky"])
         entry, violations = verify_level(level_data(3), mode="structural")
         assert entry.min_abelian_index == 3
         left = [v for v in violations if "left the group" in v]
@@ -501,137 +345,8 @@ class TestSanitySweep:
         # the law runs on indices, so the check names the leaked index
         assert re.search(r": index \d+ out of range 0\.\.26$", left[0])
 
-    @pytest.mark.parametrize("twist", [_zero_twist, _first_coordinate_twist])
-    @pytest.mark.parametrize("spec", ["Z4xZ2", "Z2xZ2xZ2"])
-    @pytest.mark.parametrize("mode", ["oracle", "structural", "both"])
-    def test_broken_twist_exits_1(self, monkeypatch, capsys, twist, spec, mode):
-        # the bridge's closed form comes from the base's evaluation pairing,
-        # so a twist broken in the law alone shows as a commutator mismatch
-        for name, law in _twisted_law(twist).items():
-            monkeypatch.setattr(ThetaGroup, name, law)
-        code = main(["verify", "--base-group", spec, "--mode", mode,
-                     "--format", "json", "--no-timestamps"])
-        out, _ = capsys.readouterr()
-        assert code == EXIT_VIOLATION
-        assert "commutator mismatch" in out
-        if mode != "structural" and twist is _zero_twist:
-            # the oracle searched the law's own table, which is abelian
-            entry = json.loads(out)["reports"][0]["entries"][0]
-            assert entry["min_abelian_index"] == 1
-
-    @staticmethod
-    def zero_twist_violations(monkeypatch, capsys, *args):
-        for name, law in _twisted_law(_zero_twist).items():
-            monkeypatch.setattr(ThetaGroup, name, law)
-        code = main(["verify", *args, "--mode", "structural",
-                     "--format", "json", "--no-timestamps"])
-        out, _ = capsys.readouterr()
-        assert code == EXIT_VIOLATION
-        return json.loads(out)["violations"]
-
-    def test_repeats_within_a_level_collapse(self, monkeypatch, capsys):
-        # 10 of the sweep's rounds on Z2xZ2 fail the bridge with one message
-        violations = self.zero_twist_violations(monkeypatch, capsys,
-                                                "--base-group", "Z2xZ2")
-        assert violations == [
-            "Z2xZ2: commutator mismatch: definitional (0; 0,0; 0,0) vs closed "
-            "form (2; 0,0; 0,0) (10 times)"
-        ]
-
-    def test_every_violation_names_its_level(self, monkeypatch, capsys):
-        violations = self.zero_twist_violations(monkeypatch, capsys,
-                                                "--max-n", "4")
-        assert violations and len(set(violations)) == len(violations)
-        assert all(v.startswith(("level 2: ", "level 3: ", "level 4: "))
-                   for v in violations)
-        # one message at three levels is three lines: repeats collapse
-        # within a level, never across levels
-        for n in (2, 3, 4):
-            assert [v for v in violations if v.startswith(
-                f"level {n}: commutator mismatch: definitional (0; 0; 0) vs "
-                f"closed form (1; 0; 0) (")]
-
-    @pytest.mark.parametrize("law", BROKEN_TABLES)
-    @pytest.mark.parametrize("spec", ["Z5", "Z2xZ4"])
-    @pytest.mark.parametrize("mode", ["oracle", "both"])
-    def test_broken_table_exits_1_with_report(self, monkeypatch, capsys, law,
-                                              spec, mode):
-        # the table is read off the law, so a broken law fails the table's
-        # group check: a violation of that level, not a usage error, and
-        # the entry answers from the closed form
-        plant_law(monkeypatch, BROKEN_TABLES[law])
-        code = main(["verify", "--base-group", spec, "--mode", mode,
-                     "--format", "json", "--no-timestamps"])
-        out, err = capsys.readouterr()
-        assert (code, err) == (EXIT_VIOLATION, "")
-        doc = json.loads(out)
-        assert doc["ok"] is False
-        assert doc["reports"][0]["entries"][0]["method"] == "structural"
-        label = "level 5" if spec == "Z5" else spec
-        assert [v for v in doc["violations"]
-                if v.startswith(f"{label}: theta table is not a group: ")]
-
-    @pytest.mark.parametrize("spec, label, c, e", [
-        ("Z8", "level 8", "(1; 0; 0)", "(0; 0; 0)"),
-        ("Z2xZ4", "Z2xZ4", "(1; 0,0; 0,0)", "(0; 0,0; 0,0)"),
-    ])
-    def test_central_rotation_is_checked(self, monkeypatch, capsys, spec,
-                                         label, c, e):
-        # a table built from the a' = 0 block and central rotations equals
-        # the true law's under this defect, so the table's group check alone
-        # cannot see it; the check of c = (1, 0, 0)'s row and column does,
-        # at e * c = (2, 0, 0)
-        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_doubled_central_mul))
-        code = main(["verify", "--base-group", spec, "--mode", "oracle",
-                     "--format", "json", "--no-timestamps"])
-        out, err = capsys.readouterr()
-        assert (code, err) == (EXIT_VIOLATION, "")
-        assert (f"{label}: theta table is not a group: the central element "
-                f"{c} does not rotate {e} to {c} on both sides"
-                ) in json.loads(out)["violations"]
-
-    @pytest.mark.parametrize("offset", [-1, 0])
-    @pytest.mark.parametrize("spec, label, n", [("Z6", "level 6", 6),
-                                                ("Z2xZ4", "Z2xZ4", 8)])
-    def test_bound_at_its_boundary(self, monkeypatch, capsys, offset, spec,
-                                   label, n):
-        # the paper's bound is index >= n: a structural index of n - 1
-        # breaks it, and n does not
-        monkeypatch.setattr(bundlemodel, "structural_min_abelian_index",
-                            lambda base: base.order + offset)
-        code = main(["verify", "--base-group", spec, "--mode", "structural",
-                     "--format", "json", "--no-timestamps"])
-        out, _ = capsys.readouterr()
-        violations = json.loads(out)["violations"]
-        if offset:
-            assert code == EXIT_VIOLATION
-            assert violations == [f"{label}: min abelian index {n - 1} is below "
-                                  f"the bound {n} (structural)"]
-        else:
-            assert (code, violations) == (0, [])
-
-    @pytest.mark.parametrize("mode", ["oracle", "both"])
-    def test_search_maximum_off_lagrange_exits_1(self, monkeypatch, capsys,
-                                                 mode):
-        # no subgroup of order 27 has order 7: the index is read through
-        # ThetaGroup.min_abelian_index's Lagrange check, the failure is a
-        # violation of that level, and the entry answers from the closed form
-        search = heis.extension_max_abelian_order
-        monkeypatch.setattr(heis, "extension_max_abelian_order",
-                            lambda m, *cells: 7 if m == 3 else search(m, *cells))
-        code = main(["verify", "--base-group", "Z3", "--mode", mode,
-                     "--format", "json", "--no-timestamps"])
-        out, err = capsys.readouterr()
-        assert (code, err) == (EXIT_VIOLATION, "")
-        doc = json.loads(out)
-        entry = doc["reports"][0]["entries"][0]
-        assert (entry["max_abelian_order"], entry["min_abelian_index"],
-                entry["method"]) == (9, 3, "structural")
-        assert doc["violations"] == ["level 3: oracle search failed: abelian "
-                                     "maximum 7 does not divide the order 27"]
-
     def test_broken_table_is_returned_not_raised(self, monkeypatch):
-        plant_law(monkeypatch, BROKEN_TABLES["cubic"])
+        plant_law(monkeypatch, LAWS["cubic"])
         entry, violations = verify_level(level_data(5), mode="oracle")
         assert (entry.min_abelian_index, entry.method) == (5, "structural")
         assert violations[-1] == ("level 5: theta table is not a group: "
@@ -646,31 +361,11 @@ class TestSanitySweep:
         with pytest.raises(ValueError, match="oracle cap"):
             verify_level(level_data(5), mode="oracle", oracle_cap=1.5)
 
-    @pytest.mark.parametrize("args", [["--base-group", "Z4xZ2"], ["--max-n", "3"]])
-    def test_bridge_reads_base_pairing(self, monkeypatch, capsys, args):
-        # the closed form is the base's pairing: a pairing broken there,
-        # with the law intact, shows as a commutator mismatch
-        monkeypatch.setattr(FiniteAbelianGroup, "_pairing", lambda self, l, k: 0)
-        code = main(["verify", *args, "--format", "json", "--no-timestamps"])
-        out, _ = capsys.readouterr()
-        assert code == EXIT_VIOLATION
-        assert "commutator mismatch" in out
-
-    def test_law_leaving_the_group_exits_1_with_report(self, monkeypatch, capsys):
-        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(_leaky_mul))
-        code = main(["verify", "--class", "1", "--max-n", "3",
-                     "--mode", "structural", "--format", "json"])
-        out, err = capsys.readouterr()
-        assert code == EXIT_VIOLATION
-        assert err == ""
-        assert '"ok": false' in out
-        assert "level 3: group law left the group at" in out
-
     def test_float_law_leaves_the_group(self, monkeypatch):
         # 2.0 == 2 passes every range compare, so only the check's int test
         # stops a law that returns floats; at level 1 every product is 0.0
-        monkeypatch.setattr(ThetaGroup, "_mul", _float_mul)
-        for theta in self.THETAS:
+        plant_law(monkeypatch, LAWS["float"])
+        for theta in THETAS:
             violations = self.sweep(theta)
             assert len(violations) == 1
             assert "group law left the group" in violations[0]
@@ -679,34 +374,8 @@ class TestSanitySweep:
     @pytest.mark.parametrize("digit", ["k", "l"])
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 97, 1000])
     def test_unreduced_digit_is_caught(self, monkeypatch, digit, n):
-        monkeypatch.setattr(ThetaGroup, "_mul", _carrying_mul(digit))
+        plant_law(monkeypatch, LAWS[f"carrying {digit}"])
         assert self.sweep(level_data(n).theta)
-
-    def test_rare_cell_is_caught(self, monkeypatch, capsys):
-        # one wrong cell, (n - 1)(n - 1) = (0, 0, 0), at levels 7 and 8: the
-        # oracle reads only the a = 0 block, c's row and column and the
-        # inverses, and a random round meets that cell once in n^2, so the
-        # sweep's fixed edge rounds are what read it
-        def rare_cell(self, i, j):
-            if self.m > 6 and i == j == self.order - 1:
-                return 0
-            return _int_mul(self, i, j)
-
-        monkeypatch.setattr(ThetaGroup, "_mul", rare_cell)
-        code = main(["verify", "--max-n", "8", "--format", "json",
-                     "--no-timestamps"])
-        out, err = capsys.readouterr()
-        assert (code, err) == (EXIT_VIOLATION, "")
-        doc = json.loads(out)
-        tops = {n: f"({n - 1}; {n - 1}; {n - 1})" for n in (7, 8)}
-        assert doc["violations"] == [
-            f"level {n}: associativity failed at {at}"
-            for n in (8, 7)
-            for at in (f"{tops[n]}, {tops[n]}, (0; 1; 1)",
-                       f"(0; 1; 1), {tops[n]}, {tops[n]}")]
-        # the oracle's answers stand: the defect lies outside what it reads
-        assert [e["min_abelian_index"] for r in doc["reports"]
-                for e in r["entries"]] == [2, 4, 6, 8, 1, 3, 5, 7]
 
 
 class TestJordanCertificate:
@@ -754,8 +423,7 @@ class TestJordanCertificate:
 
     def test_unknown_mode_before_any_table(self, monkeypatch):
         built = []
-        monkeypatch.setattr(ThetaGroup, "min_abelian_index",
-                            lambda *args: built.append(args))
+        plant_law(monkeypatch, {"min_abelian_index": lambda *args: built.append(args)})
         with pytest.raises(ValueError, match="unknown mode 'orakle'"):
             jordan_certificate(DiffeoClass(1), 1, mode="orakle")
         assert built == []
@@ -769,7 +437,7 @@ class TestJordanCertificate:
         assert type(jordan_certificate(DiffeoClass(1), True).threshold) is int
 
     def test_corruption_raises_bound_violation(self, monkeypatch):
-        plant_law(monkeypatch, CYCLIC_LAW)
+        plant_law(monkeypatch, LAWS["cyclic"])
         # 'both' sees the disagreement and names the threshold first
         with pytest.raises(BoundViolation, match="^threshold 1: level 2: oracle"):
             jordan_certificate(DiffeoClass(0), 1)
@@ -777,6 +445,10 @@ class TestJordanCertificate:
         with pytest.raises(BoundViolation, match="certificate failed: index 1 "
                                                  "at level 3"):
             jordan_certificate(DiffeoClass(1), 1, mode="oracle")
+
+
+def _order(theta, *args):
+    return theta.order
 
 
 def _timed(fn):
@@ -820,7 +492,7 @@ class TestClassReport:
         assert all(e.min_abelian_index >= e.n for e in report.entries)
 
     def test_strict_mode_aborts_on_violation(self, monkeypatch):
-        plant_law(monkeypatch, CYCLIC_LAW)
+        plant_law(monkeypatch, LAWS["cyclic"])
         with pytest.raises(BoundViolation):
             build_class_report(DiffeoClass(0), 2, thresholds=())
 
@@ -831,14 +503,7 @@ class TestClassReport:
     def test_certificates_reuse_entry_tables(self, monkeypatch):
         # entries n = 2, 4, 6; the certificates for thresholds 1 and 5 land
         # on n = 2 and 6, whose oracle search the entries already ran
-        built = []
-        original = ThetaGroup.min_abelian_index
-
-        def counting(self, *args, **kwargs):
-            built.append(self.order)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ThetaGroup, "min_abelian_index", counting)
+        built = recording(monkeypatch, ThetaGroup, "min_abelian_index", _order)
         report, violations = build_class_report(
             DiffeoClass(0), 6, thresholds=(1, 5), strict=False
         )
@@ -852,16 +517,10 @@ class TestClassReport:
         # entries or lie above the 512 cap, and no level's law is read twice.
         # The oracle reads the law's cells once per level and builds no
         # table at all
-        built, tables = [], []
-        original = ThetaGroup.min_abelian_index
-
-        def counting(self, *args, **kwargs):
-            built.append(self.order)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ThetaGroup, "min_abelian_index", counting)
-        monkeypatch.setattr(ThetaGroup, "to_concrete",
-                            lambda self, *args: tables.append(self.order))
+        built = recording(monkeypatch, ThetaGroup, "min_abelian_index", _order)
+        tables = []
+        plant_law(monkeypatch, {"to_concrete": lambda self, *args:
+                                tables.append(self.order)})
         assert main(["verify"]) == 0
         capsys.readouterr()
         assert sorted(built) == [1, 8, 27, 64, 125, 216, 343]
@@ -875,18 +534,10 @@ class TestAdmission:
     def work(self, monkeypatch):
         # records each sweep and oracle run, and still runs it
         done = []
-        sweep, build = bundlemodel._sanity_sweep, ThetaGroup.min_abelian_index
-
-        def swept(theta, rng):
-            done.append(("sweep", theta.order))
-            return sweep(theta, rng)
-
-        def built(self, *args, **kwargs):
-            done.append(("oracle", self.order))
-            return build(self, *args, **kwargs)
-
-        monkeypatch.setattr(bundlemodel, "_sanity_sweep", swept)
-        monkeypatch.setattr(ThetaGroup, "min_abelian_index", built)
+        recording(monkeypatch, bundlemodel, "_sanity_sweep",
+                  lambda theta, rng: ("sweep", theta.order), done)
+        recording(monkeypatch, ThetaGroup, "min_abelian_index",
+                  lambda self, *args: ("oracle", self.order), done)
         return done
 
     def test_admitted_run_is_recorded(self, work):
@@ -908,10 +559,7 @@ class TestAdmission:
         # admission builds each level as it reads it, so a run refused at
         # level 10 builds levels 2..10 of class 0, not the whole class first;
         # the command line admits through bundlemodel, which builds them all
-        built = []
-        original = bundlemodel.level_data
-        monkeypatch.setattr(bundlemodel, "level_data",
-                            lambda n: built.append(n) or original(n))
+        built = recording(monkeypatch, bundlemodel, "level_data", lambda n: n)
         assert main(["verify", "--mode", "oracle", "--max-n", "1000000"]) == 2
         assert capsys.readouterr().err == (
             "theta-jordan: level 10: theta group order 1000 exceeds the oracle "
@@ -927,11 +575,8 @@ class TestAdmission:
         # one runner admits both classes: 8 levels to admit, 8 to run and
         # 8 certificate levels; one mode-and-cap check, one admission of
         # the levels, and one check per verify_level and per certificate
-        calls = {"level_data": [], "_check_run": []}
-        for name, seen in calls.items():
-            original = getattr(bundlemodel, name)
-            monkeypatch.setattr(bundlemodel, name, lambda *args, seen=seen,
-                                original=original: seen.append(args) or original(*args))
+        calls = {name: recording(monkeypatch, bundlemodel, name)
+                 for name in ("level_data", "_check_run")}
         assert main(["verify", "--mode", "oracle", "--max-n", "8"]) == 0
         capsys.readouterr()
         assert len(calls["level_data"]) == 24
@@ -972,10 +617,7 @@ class TestAdmission:
         # admission reads levels in mode 'oracle' only, so a structural run
         # builds its entry levels once; the certificates build theirs
         # (n = 2, 6, 12, 10**6 + 2 and 3, 7, 11, 10**6 + 1) themselves
-        built = []
-        original = bundlemodel.level_data
-        monkeypatch.setattr(bundlemodel, "level_data",
-                            lambda n: built.append(n) or original(n))
+        built = recording(monkeypatch, bundlemodel, "level_data", lambda n: n)
         assert main(["verify", "--mode", "structural", "--max-n", "100"]) == 0
         capsys.readouterr()
         certificates = [2, 6, 12, 10 ** 6 + 2, 3, 7, 11, 10 ** 6 + 1]

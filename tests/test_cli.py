@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from helpers import CYCLIC_LAW, plant_law
+from helpers import LAWS, plant_law, planted_tests
 from thetajordan.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -115,6 +115,9 @@ class TestParseArgs:
         assert "4096" in capsys.readouterr().err
 
 
+# with the run under a planted defect that helpers.PLANTED_RUNS lists
+# under TestRun
+@planted_tests
 class TestRun:
     def test_default_run(self, capsys):
         doc, code = run(RunConfig())
@@ -224,19 +227,11 @@ class TestRun:
         assert code == EXIT_IO
         assert "cannot write" in capsys.readouterr().err
 
-    def test_corrupt_hook_forces_violation(self, monkeypatch, capsys):
-        plant_law(monkeypatch, CYCLIC_LAW)
-        doc, code = run(parse("verify --class 0 --max-n 2 --format json"))
-        capsys.readouterr()
-        assert code == EXIT_VIOLATION
-        assert doc["ok"] is False
-        assert doc["violations"]
-
     def test_violations_are_listed_once(self, monkeypatch, capsys):
         # level 3's disagreement shows up in its entry and in the threshold-1
         # certificate, which lands on level 3 too; the certificate's line
         # names its threshold
-        plant_law(monkeypatch, CYCLIC_LAW)
+        plant_law(monkeypatch, LAWS["cyclic"])
         doc, code = run(parse("verify --class 1 --max-n 3 --no-timestamps"))
         out = capsys.readouterr().out
         assert code == EXIT_VIOLATION

@@ -20,22 +20,15 @@ from thetajordan.heis import (
 from thetajordan.lattice import min_abelian_index
 
 from helpers import (
-    CYCLIC_LAW,
+    BROKEN_TABLES,
+    LAWS,
     char_value_complex,
+    counting_checks,
     divisor_chains,
+    outcome,
     plant_law,
     root_of_unity,
 )
-from test_bundlemodel import (
-    BROKEN_TABLES,
-    _doubled_central_mul,
-    _first_coordinate_twist,
-    _int_mul,
-    _twisted_law,
-    _zero_twist,
-    on_indices,
-)
-from test_law_reference import counting_checks
 
 
 def theta(factors):
@@ -329,7 +322,7 @@ class TestCenterAndOrders:
             assert len(calls) < 10 * self.order, "element_order does not stop"
             return (i + j + 1) % self.order
 
-        monkeypatch.setattr(type(G), "_mul", endless)
+        plant_law(monkeypatch, {"_mul": endless})
         with pytest.raises(RuntimeError, match=r"^\(0; 0; 1\) has no order: "):
             G.element_order(ThetaElement(0, (0,), (1,)))
         assert len(calls) == G.order - 1
@@ -435,23 +428,6 @@ class TestConcrete:
         assert C.describe(0) == "(0; 0; 0)"
 
 
-def _wrong_cell(i0, j0):
-    """The law with one a = 0 block cell, (i0, j0), moved to the next index."""
-    def mul(self, i, j):
-        r = _int_mul(self, i, j)
-        return (r + 1) % self.order if (i, j) == (i0, j0) else r
-
-    return mul
-
-
-def _outcome(fn):
-    """fn's result, or the text of the ValueError it raised."""
-    try:
-        return fn()
-    except ValueError as exc:
-        return str(exc)
-
-
 class TestOracle:
     """ThetaGroup.min_abelian_index, which proves and searches the central
     extension read off the law's cells, against the search on the whole
@@ -473,30 +449,22 @@ class TestOracle:
         G = theta_group(FiniteAbelianGroup(factors))
         assert G.min_abelian_index() == min_abelian_index(G.to_concrete()) == G.m
 
-    @pytest.mark.parametrize("spec, law, want", [
-        ("Z2xZ2", _twisted_law(_zero_twist), 1),
-        ("Z4", _twisted_law(_zero_twist), 1),
-        ("Z4xZ2", _twisted_law(_first_coordinate_twist), 2),
-        # (0; 0; 1)^2 lands on (0; 1; 0): the block stays a loop with the
-        # law's inverses, and only associativity fails
-        ("Z3", {"_mul": _wrong_cell(1, 1)}, "multiplication table is not associative"),
-        ("Z3", {"_mul": _wrong_cell(0, 4)}, "index 0 is not a two-sided identity"),
-        ("Z8", {"_mul": on_indices(_doubled_central_mul)}, None),
-        ("Z2xZ2", CYCLIC_LAW, 1),
-        ("Z3", CYCLIC_LAW, 1),
-        *[(spec, BROKEN_TABLES[name], None)
-          for name in BROKEN_TABLES for spec in ("Z5", "Z2xZ4")],
-    ], ids=["zero twist Z2xZ2", "zero twist Z4", "first-coordinate twist Z4xZ2",
-            "wrong cell Z3", "wrong identity cell Z3", "doubled central Z8",
-            "cyclic Z2xZ2", "cyclic Z3",
-            *[f"{name} {spec}" for name in BROKEN_TABLES for spec in ("Z5", "Z2xZ4")]])
-    def test_planted_defects_match_the_table_path(self, monkeypatch, spec, law,
+    @pytest.mark.parametrize("law, spec, want", [
+        pytest.param(law, spec, want, id=f"{law} {spec}") for law, spec, want in [
+            ("zero twist", "Z2xZ2", 1), ("zero twist", "Z4", 1),
+            ("first-coordinate twist", "Z4xZ2", 2),
+            ("wrong cell", "Z3", "multiplication table is not associative"),
+            ("wrong identity cell", "Z3", "index 0 is not a two-sided identity"),
+            ("doubled central", "Z8", None), ("cyclic", "Z2xZ2", 1), ("cyclic", "Z3", 1),
+            *[(law, "Z5", None) for law in BROKEN_TABLES],
+            *[(law, "Z2xZ4", None) for law in BROKEN_TABLES]]])
+    def test_planted_defects_match_the_table_path(self, monkeypatch, law, spec,
                                                   want):
         # the same index, or the same ValueError text: the table is the
         # extension, so the first failing element is the same.  want None:
         # a law whose cells make no group, whatever the text
-        plant_law(monkeypatch, law)
+        plant_law(monkeypatch, LAWS[law])
         G = theta_group(parse_group_spec(spec))
-        got = _outcome(G.min_abelian_index)
-        assert got == _outcome(lambda: min_abelian_index(G.to_concrete()))
-        assert got == want if want is not None else isinstance(got, str)
+        got = outcome(G.min_abelian_index)
+        assert got == outcome(lambda: min_abelian_index(G.to_concrete()))
+        assert got[1] == want if want is not None else got[0] == "ValueError"

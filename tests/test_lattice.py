@@ -23,11 +23,13 @@ from thetajordan.symplectic import max_isotropic_order, pairing_space
 from helpers import (
     alternating4_table,
     concrete_mul_table,
+    counting_checks,
     cyclic_table,
     dihedral_table,
     divisor_chains,
     naive_closure,
     naive_max_abelian_order,
+    recording,
     table_census,
 )
 
@@ -39,15 +41,7 @@ def concrete_theta(factors):
 @pytest.fixture
 def extend_calls(monkeypatch):
     """A one-entry list that counts the searches' _extend_mask calls."""
-    calls = [0]
-    extend = lattice._extend_mask
-
-    def counted(*args):
-        calls[0] += 1
-        return extend(*args)
-
-    monkeypatch.setattr(lattice, "_extend_mask", counted)
-    return calls
+    return counting_checks(monkeypatch, lattice, ("_extend_mask",))
 
 
 class TestConcreteGroup:
@@ -146,14 +140,8 @@ class TestConcreteGroup:
         assert G.mul(1, 1) == 2
 
     def test_builders_emit_tuple_rows(self, monkeypatch):
-        seen = []
-        init = ConcreteGroup.__init__
-
-        def spy(self, mul_table, *args, **kwargs):
-            seen.append({type(row) for row in mul_table})
-            init(self, mul_table, *args, **kwargs)
-
-        monkeypatch.setattr(ConcreteGroup, "__init__", spy)
+        seen = recording(monkeypatch, ConcreteGroup, "__init__",
+                         lambda self, mul_table, *args: set(map(type, mul_table)))
         theta_group(make_group([2, 2])).to_concrete()
         pairing_space(make_group([4])).to_concrete()
         ConcreteGroup.from_mul_fn(6, lambda i, j: (i + j) % 6)
@@ -394,7 +382,7 @@ class TestMaxAbelianOracle:
             full = (1 << G.order) - 1
             center = sum(1 << g for g, m in enumerate(masks) if m == full)
             assert G.center_mask() == center
-            direct = _max_related(G._mul, masks, center).bit_count()
+            direct = _max_related(G._mul, masks).bit_count()
             assert max_abelian_order(G) == direct
 
     def test_theta_maximum_is_base_order_squared(self):

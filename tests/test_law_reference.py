@@ -18,14 +18,22 @@ from thetajordan.heis import (
     EDGE_ROUNDS,
     SWEEP_ROUNDS,
     ThetaElement,
-    ThetaGroup,
     _sanity_sweep,
     format_element,
     theta_group,
 )
 
-import test_bundlemodel
-from helpers import divisor_chains, plant_law
+from helpers import (
+    LAWS,
+    THETAS,
+    counting_checks,
+    cubic_mul,
+    divisor_chains,
+    off_by_one_inv,
+    outcome,
+    plant_law,
+    symmetric_mul,
+)
 
 
 def ref_base_check(K, x):
@@ -73,14 +81,6 @@ def ref_inv(G, g):
         tuple(-x % d for x, d in zip(g.k, fs)),
         tuple(-x % d for x, d in zip(g.l, fs)),
     )
-
-
-def outcome(fn, *args):
-    """fn's result, or the message of the ValueError it raised."""
-    try:
-        return "ok", fn(*args)
-    except ValueError as exc:
-        return "ValueError", str(exc)
 
 
 def bad_elements(G):
@@ -331,48 +331,17 @@ def leak_cut(violation):
     return f"{head}: out of range"
 
 
-on_indices = test_bundlemodel.on_indices
-
-# name -> the unchecked law methods that law replaces
-LAWS = {
-    "correct": {},
-    "cubic": {"_mul": on_indices(test_bundlemodel._cubic_mul),
-              "_inv": on_indices(test_bundlemodel._cubic_inv)},
-    "off-by-one inverse": {"_inv": on_indices(test_bundlemodel._off_by_one_inv)},
-    "symmetric": {"_mul": on_indices(test_bundlemodel._symmetric_mul),
-                  "_inv": on_indices(test_bundlemodel._symmetric_inv)},
-    "leaky": {"_mul": on_indices(test_bundlemodel._leaky_mul)},
-    "leaky inverse": {"_inv": on_indices(test_bundlemodel._leaky_inv)},
-}
-
-
-def counting_checks(monkeypatch, cls=ThetaGroup,
-                    names=("check_element", "_check_index")):
-    """Patch the named methods of cls to count their calls; returns the
-    count.  On ThetaGroup, check_element checks the ThetaElements the
-    public methods take, and _check_index the indices the law returns."""
-    calls = [0]
-    for name in names:
-        check = getattr(cls, name, None)
-        if check is None:
-            continue
-
-        def counted(self, *args, check=check):
-            calls[0] += 1
-            return check(self, *args)
-
-        monkeypatch.setattr(cls, name, counted)
-    return calls
+# the laws the sweep and its reference must agree on
+SWEEP_LAWS = ["correct", "cubic", "off-by-one inverse", "symmetric", "leaky",
+              "leaky inverse"]
 
 
 class TestSweepAgainstReference:
-    THETAS = test_bundlemodel.TestSanitySweep.THETAS
-
-    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("law", SWEEP_LAWS)
     def test_same_violations(self, monkeypatch, law):
         plant_law(monkeypatch, LAWS[law])
         violations = 0
-        for theta in self.THETAS:
+        for theta in THETAS:
             for seed in range(5):
                 got = sweep_outcome(_sanity_sweep, theta, seed)
                 assert got == sweep_outcome(ref_sweep, theta, seed), (theta, seed)
@@ -387,7 +356,7 @@ class TestSweepAgainstReference:
         # the public methods
         ints = counting_checks(monkeypatch, names=("_check_index",))
         elements = counting_checks(monkeypatch, names=("check_element",))
-        for theta in self.THETAS:
+        for theta in THETAS:
             ints[0] = elements[0] = 0
             assert _sanity_sweep(theta, random.Random(3)) == []
             assert (ints[0], elements[0]) == (5 * SWEEP_ROUNDS, 0)
@@ -403,7 +372,7 @@ class TestSweepAgainstReference:
         muls = counting_checks(monkeypatch, names=("_mul",))
         invs = counting_checks(monkeypatch, names=("_inv",))
         pairings = counting_checks(monkeypatch, FiniteAbelianGroup, ("_pairing",))
-        for theta in self.THETAS:
+        for theta in THETAS:
             muls[0] = invs[0] = pairings[0] = 0
             assert _sanity_sweep(theta, random.Random(3)) == []
             assert (muls[0], invs[0], pairings[0]) == (
@@ -437,21 +406,17 @@ class TestSweepAgainstReference:
         G = level_data(5).theta
         g = ThetaElement(1, (2,), (3,))
         h = ThetaElement(4, (1,), (4,))
-        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(test_bundlemodel._cubic_mul))
-        assert G.mul(g, h) == test_bundlemodel._cubic_mul(G, g, h)
+        plant_law(monkeypatch, LAWS["cubic"])
+        assert G.mul(g, h) == cubic_mul(G, g, h)
         assert G.mul(g, h) != ref_mul(G, g, h)
-        monkeypatch.setattr(ThetaGroup, "_inv",
-                            on_indices(test_bundlemodel._off_by_one_inv))
-        assert G.inv(g) == test_bundlemodel._off_by_one_inv(G, g)
+        plant_law(monkeypatch, LAWS["off-by-one inverse"])
+        assert G.inv(g) == off_by_one_inv(G, g)
         assert G.inv(g) != ref_inv(G, g)
         # the powers are indices, so the check names the leaked index
-        monkeypatch.setattr(ThetaGroup, "_mul", on_indices(test_bundlemodel._leaky_mul))
+        plant_law(monkeypatch, LAWS["leaky"])
         with pytest.raises(ValueError, match=r"^index \d+ out of range 0\.\.124$"):
             G.element_order(ThetaElement(4, (4,), (4,)))
-        monkeypatch.setattr(ThetaGroup, "_mul",
-                            on_indices(test_bundlemodel._symmetric_mul))
-        monkeypatch.setattr(ThetaGroup, "_inv",
-                            on_indices(test_bundlemodel._symmetric_inv))
+        plant_law(monkeypatch, LAWS["symmetric"])
         with pytest.raises(RuntimeError, match="commutator mismatch"):
             G.commutator(g, ThetaElement(4, (1,), (1,)))  # closed form (4, 0, 0)
         # the table is read off the same law: every cell of it
@@ -461,7 +426,7 @@ class TestSweepAgainstReference:
             els = H.elements()
             for i, g in enumerate(els):
                 for j, h in enumerate(els):
-                    want = H.index(test_bundlemodel._symmetric_mul(H, g, h))
+                    want = H.index(symmetric_mul(H, g, h))
                     assert table[i][j] == want
 
     @pytest.mark.parametrize("factors", [[6], [8], [4, 2], [2, 2, 2]],

@@ -5,7 +5,7 @@ import pytest
 from thetajordan import symplectic
 from thetajordan.abelian import CapExceeded, FiniteAbelianGroup, make_group
 from thetajordan.abelian import is_pairing_nondegenerate
-from thetajordan.heis import ThetaElement, theta_group
+from thetajordan.heis import theta_group
 from thetajordan.lattice import all_subgroups, is_abelian
 from thetajordan.symplectic import (
     is_isotropic,
@@ -14,8 +14,7 @@ from thetajordan.symplectic import (
     structural_min_abelian_index,
 )
 
-from helpers import divisor_chains, horner_rank
-from test_law_reference import counting_checks
+from helpers import counting_checks, divisor_chains, horner_rank
 
 
 def space(factors):
@@ -212,7 +211,7 @@ class TestMaxIsotropic:
     def test_disagreement_raises(self, monkeypatch):
         # a correct search never trips this guard; a patched one that finds
         # only the zero point does
-        monkeypatch.setattr(symplectic, "_max_related", lambda mul, rel, start: 1)
+        monkeypatch.setattr(symplectic, "_max_related", lambda mul, rel: 1)
         with pytest.raises(RuntimeError, match="^brute-force isotropic maximum 1 "
                                                "disagrees with the structural value 2$"):
             max_isotropic_order(space([2]))
