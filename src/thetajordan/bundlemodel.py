@@ -256,9 +256,8 @@ def jordan_certificate(cls: DiffeoClass, threshold: int, mode: str = "both",
     """
     threshold = check_int(threshold, "threshold", 1)
     oracle_cap = _check_run(mode, oracle_cap)
-    n = threshold + 1
-    if n % 2 != cls.parity:
-        n += 1
+    # levels step by 2: the last up to threshold + 2 is the first above it
+    n = cls._levels(threshold + 2)[-1]
     level = level_data(n)
     ev = _index_evidence(level, mode, oracle_cap, evidence)
     idx = ev.min_abelian_index

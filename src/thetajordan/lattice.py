@@ -47,12 +47,9 @@ class ConcreteGroup:
         if set(map(len, self._mul)) != {n}:
             raise ValueError("malformed multiplication table")
         self.identity = index_tuple((identity,), n, "identity index")[0]
-        if inv_table is None:
-            self._inv = self._derive_inverses()
-        else:
-            self._inv = index_tuple(inv_table, n, "inverse table entry")
-            if len(self._inv) != n:
-                raise ValueError("inverse table length does not match the order")
+        mul = self._mul
+        inverses = self._derive_inverses() if inv_table is None else inv_table
+        self._inv = _group_laws(n, lambda i, j: mul[i][j], self.identity, inverses)
         self._describe = describe
         self._verify()
 
@@ -74,15 +71,8 @@ class ConcreteGroup:
         return out
 
     def _verify(self) -> None:
-        e = self.identity
         mul = self._mul
-        for i in range(self.order):
-            if mul[e][i] != i or mul[i][e] != i:
-                raise ValueError(f"index {e} is not a two-sided identity")
-            j = self._inv[i]
-            if mul[i][j] != e or mul[j][i] != e:
-                raise ValueError(f"inverse table is wrong at element {i}")
-        self._gens = _generate(mul, (1 << self.order) - 1, e)[0]
+        self._gens = _generate(mul, (1 << self.order) - 1, self.identity)[0]
         # itemgetter returns a one-entry row as a bare value, but only an
         # order-1 table has such rows, and it has no generators
         for g in self._gens:
@@ -152,6 +142,21 @@ class Subgroup(_Frozen):
     @classmethod
     def from_mask(cls, mask: int) -> "Subgroup":
         return cls(tuple(_mask_bits(mask)))
+
+
+def _group_laws(n: int, cell: Callable[[int, int], int], e: int,
+                inv_table) -> tuple[int, ...]:
+    """inv_table checked as the inverses of the order-n group with product
+    cell(i, j) and identity e; ValueError at the first element that fails."""
+    inv = index_tuple(inv_table, n, "inverse table entry")
+    if len(inv) != n:
+        raise ValueError("inverse table length does not match the order")
+    for i, j in enumerate(inv):
+        if cell(e, i) != i or cell(i, e) != i:
+            raise ValueError(f"index {e} is not a two-sided identity")
+        if cell(i, j) != e or cell(j, i) != e:
+            raise ValueError(f"inverse table is wrong at element {i}")
+    return inv
 
 
 def _mask_bits(mask: int):
@@ -359,8 +364,8 @@ def extension_max_abelian_order(m: int, block, inv_table) -> int:
     E's element a*|V| + u is (a, u), and block[u][v] = beta(u, v)*|V| +
     w(u, v), in 0..|E|-1, gives (a, u)(b, v) = (a + b + beta(u, v), w(u, v)).
     The proof raises the ValueError, with its text, that the ConcreteGroup
-    of E's whole table would: an inverse out of range, then identity and
-    inverse at each element in index order, then associativity, which holds
+    of E's whole table would: it runs that group's own identity-and-inverse
+    check (_group_laws) on E's cells, then associativity, which holds
     iff V is a group (V's ConcreteGroup) and beta a cocycle (Light's test on
     the lifts (0, t) of V's generators; (1, 0) passes by construction).
     (a, u) and (b, v) commute iff the block is symmetric at (u, v), so the
@@ -368,14 +373,10 @@ def extension_max_abelian_order(m: int, block, inv_table) -> int:
     """
     size = len(block)
     n = m * size
-    inv = index_tuple(inv_table, n, "inverse table entry")
-    for i, j in enumerate(inv):
-        u, v = i % size, j % size
-        if block[0][u] != u or block[u][0] != u:
-            raise ValueError("index 0 is not a two-sided identity")
-        shift = i - u + j - v
-        if (block[u][v] + shift) % n or (block[v][u] + shift) % n:
-            raise ValueError(f"inverse table is wrong at element {i}")
+
+    def cell(i, j):  # (a, u)(b, v) = block[u][v] rotated by (a + b)*|V|
+        return (block[i % size][j % size] + i - i % size + j - j % size) % n
+    inv = _group_laws(n, cell, 0, inv_table)
     V = ConcreteGroup([[r % size for r in row] for row in block],
                       inv_table=[j % size for j in inv[:size]])
     beta = [[r // size for r in row] for row in block]

@@ -402,13 +402,28 @@ def _rare_cell(self, i, j):
     return _int_mul(self, i, j)
 
 
-def _wrong_cell(i0, j0):
-    """The law with one a = 0 block cell, (i0, j0), moved to the next index."""
-    def mul(self, i, j):
-        r = _int_mul(self, i, j)
-        return (r + 1) % self.order if (i, j) == (i0, j0) else r
+def wrong_cell(cell, value=None):
+    """The patch, for plant_law, that sets one cell of the law to value, by
+    default the next index: cell (i, j) is the product ij, cell (i,) the
+    inverse of i."""
+    name, law = ("_mul", _int_mul) if len(cell) == 2 else ("_inv", _int_inv)
 
-    return mul
+    def wrong(self, *operands):
+        r = law(self, *operands)
+        if operands != cell:
+            return r
+        return (r + 1) % self.order if value is None else value
+
+    return {name: wrong}
+
+
+def law_cells_read(G):
+    """The cells of G's law that _law_cells reads, as wrong_cell names them:
+    the a = 0 block, the central element's row and column, the inverses."""
+    n, mm = G.order, G.m ** 2
+    c = mm % n
+    return sorted({(u, v) for u in range(mm) for v in range(mm)}
+                  | {cell for x in range(n) for cell in ((c, x), (x, c), (x,))})
 
 
 _search = heis.extension_max_abelian_order
@@ -438,9 +453,9 @@ LAWS = {
     "rare cell": {"_mul": _rare_cell},
     # (0; 0; 1)^2 lands on (0; 1; 0): the block stays a loop with the law's
     # inverses, and only associativity fails
-    "wrong cell": {"_mul": _wrong_cell(1, 1)},
+    "wrong cell": wrong_cell((1, 1)),
     # (0; 0; 0)(0; 1; 1) moved: index 0 is no longer an identity
-    "wrong identity cell": {"_mul": _wrong_cell(0, 4)},
+    "wrong identity cell": wrong_cell((0, 4)),
     # the closed form of the sweep's bridge is the base's pairing: broken
     # there, with the law intact
     "zero pairing": {"thetajordan.abelian.FiniteAbelianGroup._pairing":

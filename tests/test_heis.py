@@ -25,9 +25,11 @@ from helpers import (
     char_value_complex,
     counting_checks,
     divisor_chains,
+    law_cells_read,
     outcome,
     plant_law,
     root_of_unity,
+    wrong_cell,
 )
 
 
@@ -468,3 +470,27 @@ class TestOracle:
         got = outcome(G.min_abelian_index)
         assert got == outcome(lambda: min_abelian_index(G.to_concrete()))
         assert got[1] == want if want is not None else got[0] == "ValueError"
+
+    @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z2xZ2"])
+    def test_single_cell_defects_match_the_table_path(self, monkeypatch, spec):
+        # one wrong cell: on Z2 (order 8) every wrong value at every product
+        # cell and inverse entry, 504 laws; on Z3 and Z2xZ2 the next index
+        # at every cell that either path reads, 161 and 447 laws
+        G = theta_group(parse_group_spec(spec))
+        n = G.order
+        if n == 8:
+            cells = [(i, j) for i in range(n) for j in range(n)]
+            cells += [(i,) for i in range(n)]
+            laws = [(cell, v) for cell in cells for v in range(n)
+                    if v != (G._mul(*cell) if len(cell) == 2 else G._inv(*cell))]
+        else:
+            laws = [(cell, None) for cell in law_cells_read(G)]
+        differ = []
+        for cell, value in laws:
+            with monkeypatch.context() as patch:
+                plant_law(patch, wrong_cell(cell, value))
+                got = outcome(G.min_abelian_index)
+                if got != outcome(lambda: min_abelian_index(G.to_concrete())):
+                    differ.append((cell, value, got))
+        assert len(laws) == {8: 504, 27: 161, 64: 447}[n]
+        assert differ == []

@@ -12,6 +12,7 @@ from thetajordan.lattice import (
     _max_related,
     all_subgroups,
     closure,
+    extension_max_abelian_order,
     is_abelian,
     is_subgroup,
     max_abelian_order,
@@ -454,6 +455,22 @@ class TestMinAbelianIndex:
         with pytest.raises(RuntimeError,
                            match="^abelian maximum 4 does not divide the order 6$"):
             min_abelian_index(ConcreteGroup(cyclic_table(6)))
+
+
+class TestExtensionMaxAbelianOrder:
+    @pytest.mark.parametrize("cut", ["short", "long"])
+    def test_rejects_wrong_length_inverse_table(self, cut):
+        # as the ConcreteGroup of E's whole table does: 9 inverses of the
+        # 27 elements must not leave elements 9..26 unchecked
+        theta = theta_group(make_group([3]))
+        block, inv = theta._law_cells()
+        assert extension_max_abelian_order(3, block, inv) == 9
+        bad = inv[:9] if cut == "short" else inv + [0]
+        message = "^inverse table length does not match the order$"
+        with pytest.raises(ValueError, match=message):
+            extension_max_abelian_order(3, block, bad)
+        with pytest.raises(ValueError, match=message):
+            ConcreteGroup(theta.to_concrete()._mul, inv_table=bad)
 
 
 class TestOrderSequence:
