@@ -359,40 +359,39 @@ def _lagrange_index(order: int, top: int) -> int:
 
 def extension_max_abelian_order(m: int, block, inv_table) -> int:
     """Exact maximum abelian order of the central extension E = Z_m x_beta V
-    given by its a = 0 block and its inverse table, proven a group first.
+    given by its a = 0 block (a square |V| x |V| block of E's element
+    indices, as ThetaGroup._law_cells returns it) and its inverse table.
 
-    E's element a*|V| + u is (a, u), and block[u][v] = beta(u, v)*|V| +
-    w(u, v), in 0..|E|-1, gives (a, u)(b, v) = (a + b + beta(u, v), w(u, v)).
-    The proof raises the ValueError, with its text, that the ConcreteGroup
-    of E's whole table would: it runs that group's own identity-and-inverse
-    check (_group_laws) on E's cells, then associativity, which holds
-    iff V is a group (V's ConcreteGroup) and beta a cocycle (Light's test on
-    the lifts (0, t) of V's generators; (1, 0) passes by construction).
-    (a, u) and (b, v) commute iff the block is symmetric at (u, v), so the
-    search runs on V, from R, the members related to all of V.
+    E's element a*|V| + u is (a, u); block[u][v] = beta(u, v)*|V| + w(u, v)
+    gives (a, u)(b, v) = (a + b + beta(u, v), w(u, v)).  E is proven a group
+    first, on its cells, by the two checks of its whole table's ConcreteGroup,
+    with their ValueError texts: _group_laws, then Light's test at the lifts
+    (0, t) of the generators t of V's rows (|gens|*|V|^2 checks).  c = (1, 0)
+    rotates both sides of x(gy) = (xg)y alike, so x and y with a != 0 need
+    no check, and c passes by construction.  (a, u) and (b, v) commute iff
+    the block is symmetric at (u, v), so the search runs on V, from R, the
+    members related to all of V.
     """
     size = len(block)
     n = m * size
 
     def cell(i, j):  # (a, u)(b, v) = block[u][v] rotated by (a + b)*|V|
         return (block[i % size][j % size] + i - i % size + j - j % size) % n
-    inv = _group_laws(n, cell, 0, inv_table)
-    V = ConcreteGroup([[r % size for r in row] for row in block],
-                      inv_table=[j % size for j in inv[:size]])
-    beta = [[r // size for r in row] for row in block]
-    for t in V._gens:
-        # itemgetter returns a one-entry row as a bare value, but V then
-        # has order 1 and no generators
-        t_v = itemgetter(*V._mul[t])  # row of u -> its entries at tv
-        beta_t = beta[t]
-        for u, row in enumerate(beta):
-            ut, but = V._mul[u][t], row[t]
-            if any((x + y - z - but) % m
-                   for x, y, z in zip(t_v(row), beta_t, beta[ut])):
+    _group_laws(n, cell, 0, inv_table)
+    rows = [[r % size for r in row] for row in block]  # V's product
+    for t in _generate(rows, (1 << size) - 1, 0)[0]:
+        # itemgetter returns a one-entry row bare, but then V has no generators
+        at_tv = itemgetter(*rows[t])  # row of u -> its entries at tv
+        tv_high = [r - r % size for r in block[t]]
+        for row in block:  # (0, u)((0, t)(0, v)) against ((0, u)(0, t))(0, v)
+            ut = row[t]
+            ut_high = ut - ut % size
+            if any((x + y - z - ut_high) % n
+                   for x, y, z in zip(at_tv(row), tv_high, block[ut % size])):
                 raise ValueError("multiplication table is not associative")
     rel = [sum(1 << v for v, (x, y) in enumerate(zip(row, col)) if x == y)
            for row, col in zip(block, zip(*block))]
-    return m * _max_related(V._mul, rel).bit_count()
+    return m * _max_related(rows, rel).bit_count()
 
 
 def order_sequence(G: ConcreteGroup, cap: int = ENUMERATION_CAP) -> Counter:

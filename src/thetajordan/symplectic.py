@@ -143,17 +143,15 @@ def max_isotropic_order(space: PairingSpace, method: str = "both",
     place of commuting; 'structural' returns the closed form |K|; 'both'
     (default) runs the brute force when the space fits under the cap,
     checks it against the closed form, and falls back to the closed form
-    above the cap.
+    above the cap.  Every method reads the cap as an int, after the method.
     """
-    structural = space.base.order
-    if method == "structural":
-        return structural
-    if method not in ("brute", "both"):
+    if method not in ("brute", "both", "structural"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "brute":
-        check_cap(space.order, cap, "pairing space")
-    elif space.order > check_int(cap, "cap"):
+    cap = check_int(cap, "cap")
+    structural = space.base.order
+    if method == "structural" or method == "both" and space.order > cap:
         return structural
+    check_cap(space.order, cap, "pairing space")
     m, K = space.m, space.base
     els = K.elements(cap)
     ev = [[K._pairing(l, x) for x in els] for l in els]

@@ -17,7 +17,7 @@ from thetajordan.heis import (
     parse_element,
     theta_group,
 )
-from thetajordan.lattice import min_abelian_index
+from thetajordan.lattice import ConcreteGroup, min_abelian_index
 
 from helpers import (
     BROKEN_TABLES,
@@ -28,6 +28,7 @@ from helpers import (
     law_cells_read,
     outcome,
     plant_law,
+    recording,
     root_of_unity,
     wrong_cell,
 )
@@ -494,3 +495,32 @@ class TestOracle:
                     differ.append((cell, value, got))
         assert len(laws) == {8: 504, 27: 161, 64: 447}[n]
         assert differ == []
+
+    @pytest.mark.parametrize("spec", ["Z3", "Z4", "Z2xZ2"])
+    def test_cocycle_defects_match_the_table_path(self, monkeypatch, spec):
+        # beta one higher at one block cell (u, v), u, v != 0, so V's product
+        # stays and only the cocycle can break: 64, 225 and 225 laws
+        G = theta_group(parse_group_spec(spec))
+        n, mm = G.order, G.m ** 2
+        laws = [((u, v), (G._mul(u, v) + mm) % n)
+                for u in range(1, mm) for v in range(1, mm)]
+        differ, not_associative = [], 0
+        for cell, value in laws:
+            with monkeypatch.context() as patch:
+                plant_law(patch, wrong_cell(cell, value))
+                got = outcome(G.min_abelian_index)
+                if got != outcome(lambda: min_abelian_index(G.to_concrete())):
+                    differ.append((cell, got))
+                not_associative += got == ("ValueError", "multiplication "
+                                           "table is not associative")
+        assert len(laws) == {27: 64, 64: 225}[n]
+        assert differ == []
+        assert not_associative > 0
+
+    def test_builds_no_second_group(self, monkeypatch):
+        # E is proven a group on its own cells: no ConcreteGroup, not for V
+        G = theta([2, 2])
+        seen = recording(monkeypatch, ConcreteGroup, "__init__",
+                         lambda self, table, *rest: len(table))
+        assert G.min_abelian_index() == 4
+        assert seen == []

@@ -231,6 +231,14 @@ class TestMaxIsotropic:
                 with pytest.raises(ValueError, match=f"^cap {cap!r} is not an integer$"):
                     max_isotropic_order(space([2]), method, cap)
 
+    def test_structural_reads_its_cap_as_an_int(self):
+        # as 'both' and 'brute' do; a bad method still wins over a bad cap
+        for cap in ("x", 2.5):
+            with pytest.raises(ValueError, match=f"^cap {cap!r} is not an integer$"):
+                max_isotropic_order(space([2]), "structural", cap)
+        with pytest.raises(ValueError, match="^unknown method 'exact'$"):
+            max_isotropic_order(space([2]), "exact", "x")
+
     def test_agreement_all_types_up_to_8(self):
         for fs in divisor_chains(8):
             if not fs:
