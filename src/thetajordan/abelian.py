@@ -176,7 +176,10 @@ class FiniteAbelianGroup(_Frozen):
         return tuple(map(mod, map(neg, x), self.invariant_factors))
 
     def _pairing(self, char: Character, x: AbElement) -> int:
-        """evaluate(char, x) at the default ambient order."""
+        """evaluate(char, x) at the default ambient order; on a cyclic base
+        (every level of the family is one) the one-coordinate case written out."""
+        if self.rank == 1:
+            return char[0] * x[0] % self.order
         return sum(map(mul, map(mul, char, x), self._scales)) % self.order
 
     def _rank(self, x: Coords) -> int:

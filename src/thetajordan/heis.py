@@ -368,6 +368,17 @@ def theta_group(base: FiniteAbelianGroup) -> ThetaGroup:
     return ThetaGroup(base)
 
 
+def _draw_indices(rng, n: int, count: int) -> list[int]:
+    """count values of rng.randrange(n), drawn as CPython 3.10-3.13 draws
+    them but without its three calls per value: n.bit_length() random bits,
+    redrawn until they are below n."""
+    out, draw, bits = [], rng.getrandbits, n.bit_length()
+    while len(out) < count:
+        if (r := draw(bits)) < n:
+            out.append(r)
+    return out
+
+
 def _sanity_sweep(theta: ThetaGroup, rng) -> list[str]:
     """Seeded random group-law spot checks; returns violation messages,
     which name no level: the caller labels them.
@@ -386,9 +397,8 @@ def _sanity_sweep(theta: ThetaGroup, rng) -> list[str]:
     the group is a violation too, and it ends the sweep.
     """
     out = []
-    n, draw = theta.order, rng.randrange
     check, mul, inv, show = theta._check_index, theta._mul, theta._inv, theta._show
-    picks = [draw(n) for _ in range(3 * (SWEEP_ROUNDS - len(EDGE_ROUNDS)))]
+    picks = _draw_indices(rng, theta.order, 3 * (SWEEP_ROUNDS - len(EDGE_ROUNDS)))
     picks = iter(picks + theta._edge_indices())
     for g, h, f in zip(picks, picks, picks):
         try:

@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import io
+import json
 import random
 import re
 import time
@@ -11,6 +14,7 @@ from thetajordan.abelian import CapExceeded, make_group
 from thetajordan.bundlemodel import (
     BoundViolation,
     DiffeoClass,
+    ReportEntry,
     build_class_report,
     diffeo_class,
     document,
@@ -25,7 +29,7 @@ from thetajordan.bundlemodel import (
     torsion_inclusion,
     verify_level,
 )
-from thetajordan.cli import main
+from thetajordan.cli import main, parse_args, run
 from thetajordan.heis import ThetaGroup, _sanity_sweep, theta_group
 
 
@@ -525,6 +529,64 @@ class TestClassReport:
         capsys.readouterr()
         assert sorted(built) == [1, 8, 27, 64, 125, 216, 343]
         assert tables == []
+
+
+class _CountingStream(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _batches(pieces: int) -> int:
+    """The writes pieces take, WRITE_BATCH pieces to a write."""
+    return -(-pieces // bundlemodel.WRITE_BATCH)
+
+
+class TestRenderWrites:
+    """Under unbuffered stdout every write is a system call, so a renderer
+    writes batches of WRITE_BATCH pieces, not one write per JSON chunk, CSV
+    row or table line (that would be 24 303, 1 001 and 1 017 writes here)."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        argv = ["verify", "--mode", "structural", "--max-n", "1000", "--format", "json",
+                "--no-timestamps"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            doc, code = run(parse_args(argv))
+        assert code == 0
+        return doc
+
+    def test_json(self, doc):
+        fh = _CountingStream()
+        render_json(doc, fh)
+        assert fh.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
+        assert chunks > 20_000
+        assert fh.writes <= _batches(chunks) + 1
+
+    def test_csv(self, doc):
+        fh = _CountingStream()
+        render_csv(doc, fh)
+        rows = [["class", *ReportEntry._fields]]
+        rows.extend([str(report["manifold_class"]),
+                     *(str(e.get(field, "")) for field in ReportEntry._fields)]
+                    for report in doc["reports"] for e in report["entries"])
+        assert list(csv.reader(io.StringIO(fh.getvalue()))) == rows
+        assert fh.writes <= _batches(len(rows)) + 1
+
+    def test_table(self, doc):
+        fh = _CountingStream()
+        render_table(doc, fh)
+        lines = fh.getvalue().split("\n")
+        assert lines[-2:] == ["result: OK", ""]
+        assert len(lines) > 1000
+        assert fh.writes <= _batches(len(lines)) + 1
 
 
 class TestAdmission:

@@ -18,6 +18,7 @@ from thetajordan.heis import (
     EDGE_ROUNDS,
     SWEEP_ROUNDS,
     ThetaElement,
+    _draw_indices,
     _sanity_sweep,
     format_element,
     theta_group,
@@ -348,6 +349,16 @@ class TestSweepAgainstReference:
                 violations += len(got[1]) if got[0] == "ok" else 0
         # a broken law must show, or the comparison proves little
         assert (violations == 0) == (law == "correct")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 2 ** 20, 2 ** 20 + 1, 1000 ** 3])
+    def test_draws_are_randrange(self, n):
+        # the sweep's draws are rng.randrange(n)'s values, and leave the rng
+        # where randrange leaves it, on every Python the package supports
+        count = 3 * (SWEEP_ROUNDS - len(EDGE_ROUNDS))
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _draw_indices(rng, n, count) == [ref.randrange(n) for _ in range(count)]
+            assert rng.random() == ref.random()
 
     def test_five_checks_per_round(self, monkeypatch):
         # the sweep checks the five indices the law returns (gh, hf, g^-1,
