@@ -28,6 +28,7 @@ from .symplectic import structural_min_abelian_index
 
 SCHEMA_VERSION = "theta-jordan/1"
 DEFAULT_THRESHOLDS = (1, 5, 10, 1_000_000)
+MODES = ("oracle", "structural", "both")  # the verification routes a run may take
 
 # The level-k symmetry group is pinned to the full k-torsion of the torus,
 # the smallest model compatible with the construction; reports carry this
@@ -160,7 +161,7 @@ def _check_run(mode: str, oracle_cap: int, levels=()) -> int:
     """The one admission rule, run before any sweep or table: the oracle cap
     as an int, ValueError naming a bad mode or cap, and in mode 'oracle'
     (the only mode that reads `levels`) CapExceeded naming the first above it."""
-    if mode not in ("oracle", "structural", "both"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     oracle_cap = check_int(oracle_cap, "oracle cap")
     if mode == "oracle":

@@ -13,6 +13,7 @@ from typing import NamedTuple
 from .abelian import CapExceeded, ENUMERATION_CAP, parse_group_spec
 from .bundlemodel import (
     DEFAULT_THRESHOLDS,
+    MODES,
     DiffeoClass,
     VerificationReport,
     _class_reports,
@@ -37,9 +38,9 @@ _RENDERERS = {"json": render_json, "csv": render_csv, "table": render_table}
 class RunConfig(NamedTuple):
     manifold_class: str = "both"  # "0" | "1" | "both"
     n_max: int = 6
-    mode: str = "both"  # oracle | structural | both
+    mode: str = "both"  # one of bundlemodel.MODES
     oracle_cap: int = DEFAULT_ORACLE_CAP
-    output_format: str = "table"  # json | csv | table
+    output_format: str = "table"  # a key of _RENDERERS
     output_path: str | None = None
     base_group: str | None = None
     seed: int = 0
@@ -61,42 +62,43 @@ def parse_args(argv=None) -> RunConfig:
     verify = sub.add_parser(
         "verify", help="run the verification over a range of levels"
     )
+    verify.set_defaults(**RunConfig()._asdict())
     verify.add_argument(
         "--class", dest="manifold_class", choices=["0", "1", "both"],
-        default="both", help="bundle diffeomorphism class (level parity)",
+        help="bundle diffeomorphism class (level parity)",
     )
     verify.add_argument(
-        "--max-n", dest="n_max", type=int, default=6,
-        help="largest level to verify (default 6)",
+        "--max-n", dest="n_max", type=int,
+        help="largest level to verify (default %(default)s)",
     )
     verify.add_argument(
-        "--mode", choices=["oracle", "structural", "both"], default="both",
+        "--mode", choices=MODES,
         help="exhaustive subgroup oracle, closed-form bound, or both",
     )
     verify.add_argument(
-        "--oracle-cap", dest="oracle_cap", type=int, default=DEFAULT_ORACLE_CAP,
+        "--oracle-cap", type=int,
         help="largest group order the oracle may enumerate, at most "
              f"{ENUMERATION_CAP} (default %(default)s)",
     )
     verify.add_argument(
-        "--format", dest="output_format", choices=["json", "csv", "table"],
-        default="table", help="report format (default table)",
+        "--format", dest="output_format", choices=_RENDERERS,
+        help="report format (default %(default)s)",
     )
     verify.add_argument(
-        "--out", dest="output_path", default=None,
+        "--out", dest="output_path",
         help="write the report to this path instead of stdout",
     )
     verify.add_argument(
-        "--base-group", dest="base_group", default=None, metavar="SPEC",
+        "--base-group", metavar="SPEC",
         help="verify the single theta group over this base (e.g. Z2xZ2) "
              "instead of the level family; overrides --class and --max-n",
     )
     verify.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the randomized group-law spot checks (default 0)",
+        "--seed", type=int,
+        help="seed for the randomized group-law spot checks (default %(default)s)",
     )
     verify.add_argument(
-        "--no-timestamps", dest="no_timestamps", action="store_true",
+        "--no-timestamps", action="store_true",
         help="omit timestamps and timings for byte-reproducible output",
     )
     ns = parser.parse_args(argv)
@@ -120,20 +122,6 @@ def _config_echo(config: RunConfig) -> dict:
     return dict(zip(_ECHO_KEYS, config))
 
 
-def _base_group_report(config: RunConfig):
-    """Single-group run for --base-group, as ([report], violations); the
-    bound target is |K|."""
-    base = parse_group_spec(config.base_group)
-    entry, violations = verify_level(
-        level_for_base(base),
-        mode=config.mode,
-        oracle_cap=config.oracle_cap,
-        seed=config.seed,
-        with_timing=not config.no_timestamps,
-    )
-    return [VerificationReport(diffeo_class(base.order), (entry,), ())], violations
-
-
 def run(config: RunConfig):
     """Execute the configured verification; returns (document, exit code).
 
@@ -142,7 +130,11 @@ def run(config: RunConfig):
     """
     try:
         if config.base_group:
-            reports, violations = _base_group_report(config)
+            base = parse_group_spec(config.base_group)
+            entry, violations = verify_level(
+                level_for_base(base), config.mode, config.oracle_cap,
+                seed=config.seed, with_timing=not config.no_timestamps)
+            reports = [VerificationReport(diffeo_class(base.order), (entry,), ())]
         else:
             reports, violations = _class_reports(
                 [DiffeoClass(p) for p in config.parities], config.n_max,

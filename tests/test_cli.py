@@ -52,6 +52,21 @@ class TestParseArgs:
         assert config.output_format == "table"
         assert config.oracle_cap == 512
 
+    def test_defaults_are_runconfigs(self, monkeypatch, capsys):
+        # the parser states no default of its own: patch RunConfig's, and
+        # both the parsed config and the help text follow
+        patched = RunConfig(n_max=7, output_format="csv", seed=3)
+        monkeypatch.setattr(RunConfig.__new__, "__defaults__", tuple(patched))
+        assert parse("verify") == patched
+        with pytest.raises(SystemExit) as err:
+            parse("verify --help")
+        assert err.value.code == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        for line in ("largest level to verify (default 7)",
+                     "report format (default csv)",
+                     "spot checks (default 3)"):
+            assert line in help_text
+
     def test_flag_echo(self):
         config = parse("verify --max-n 6 --mode both")
         assert config.n_max == 6
