@@ -136,14 +136,12 @@ class ThetaGroup:
 
     def _edge_indices(self) -> list[int]:
         """The EDGE_ROUNDS elements as indices, round after round."""
-        # the index's share of a, of every k digit and of every l digit at
-        # x, for x = 0, 1 and -1, so that shares[-1] is x = -1; each l
-        # digit's place is its k digit's over m
-        shares = [(0, 0, 0)]
-        for x in (1, -1):
-            k_share = sum(x % d * kp for kp, _, d, _ in self._digits)
-            shares.append((x % self.m * self._mm, k_share, k_share // self.m))
-        return [shares[a][0] + shares[k][1] + shares[l][2]
+        # ranks[x]: the rank of the base element whose every digit is x mod
+        # d, for a k or l value x of 0, 1 or -1 (the last element); every d
+        # is at least 2, so all ones is in range
+        m, base = self.m, self.base
+        ranks = (0, base._rank((1,) * base.rank), m - 1)
+        return [a % m * self._mm + ranks[k] * m + ranks[l]
                 for triple in EDGE_ROUNDS for a, k, l in triple]
 
     def _show(self, *indices: int) -> str:

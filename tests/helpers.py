@@ -197,6 +197,13 @@ def concrete_mul_table(G):
     return [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)]
 
 
+def ref_edge(theta, a, k, l):
+    """The EDGE_ROUNDS element (a, k, l), built digit by digit."""
+    fs = theta.base.invariant_factors
+    return ThetaElement(a % theta.m, tuple(k % d for d in fs),
+                        tuple(l % d for d in fs))
+
+
 def counting_checks(monkeypatch, cls=ThetaGroup,
                     names=("check_element", "_check_index")):
     """Patch the named methods of cls (a class or a module) to count their

@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,17 @@ from thetajordan.cli import (
 
 
 CORRUPT_ENV_VAR = "THETA_JORDAN_CORRUPT_MUL"
+# a child interpreter's run of main() under the cyclic law (i + j) mod n,
+# planted from the catalog in tests/helpers.py, its argv after the -c script
+CYCLIC_RUN = """
+import sys
+from helpers import LAWS
+from thetajordan.cli import main
+from thetajordan.heis import ThetaGroup
+for name, law in LAWS["cyclic"].items():
+    setattr(ThetaGroup, name, law)
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def parse(cmdline):
@@ -288,9 +300,11 @@ class TestBinary:
         assert good.returncode == EXIT_OK
         assert "result: OK" in good.stdout
 
-        bad = run_cli(
-            ["verify", "--class", "1", "--max-n", "3"],
-            env={CORRUPT_ENV_VAR: "1"},
+        bad = subprocess.run(
+            [sys.executable, "-c", CYCLIC_RUN, "verify", "--class", "1", "--max-n", "3"],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).parent,  # -c puts the working directory on sys.path
         )
         assert bad.returncode == EXIT_VIOLATION
         assert "result: FAILED" in bad.stdout

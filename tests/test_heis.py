@@ -12,6 +12,7 @@ from thetajordan.abelian import (
     parse_group_spec,
 )
 from thetajordan.heis import (
+    EDGE_ROUNDS,
     ThetaElement,
     format_element,
     parse_element,
@@ -29,6 +30,7 @@ from helpers import (
     outcome,
     plant_law,
     recording,
+    ref_edge,
     root_of_unity,
     wrong_cell,
 )
@@ -115,6 +117,18 @@ class TestIndexing:
             assert parse_element(G, format_element(g)) == g
 
         check()
+
+    @pytest.mark.parametrize("spec", [
+        "Z1", "Z2", "Z7", "Z997", "Z2xZ4", "Z3xZ9", "Z2xZ2xZ2", "Z2xZ2xZ2xZ2",
+        "Z5xZ10xZ20",
+    ])
+    def test_edge_indices_are_the_boundary_rounds(self, spec):
+        # in round order; the first two rounds square n - 1
+        G = theta_group(parse_group_spec(spec))
+        got = G._edge_indices()
+        assert got == [G.index(ref_edge(G, *x)) for triple in EDGE_ROUNDS
+                       for x in triple]
+        assert got[:2] == got[4:6] == [G.order - 1] * 2
 
 
 class TestGroupLaw:

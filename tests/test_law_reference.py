@@ -33,6 +33,7 @@ from helpers import (
     off_by_one_inv,
     outcome,
     plant_law,
+    ref_edge,
     symmetric_mul,
 )
 
@@ -276,13 +277,6 @@ def ref_commutator(G, g, h):
                            f"{format_element(direct)} vs closed form "
                            f"{format_element(closed)}")
     return direct
-
-
-def ref_edge(theta, a, k, l):
-    """The EDGE_ROUNDS element (a, k, l), built digit by digit."""
-    fs = theta.base.invariant_factors
-    return ThetaElement(a % theta.m, tuple(k % d for d in fs),
-                        tuple(l % d for d in fs))
 
 
 def ref_sweep(theta, rng):
