@@ -24,14 +24,14 @@ from thetajordan.cli import (
 
 CORRUPT_ENV_VAR = "THETA_JORDAN_CORRUPT_MUL"
 # a child interpreter's run of main() under the cyclic law (i + j) mod n,
-# planted from the catalog in tests/helpers.py, its argv after the -c script
+# planted by plant_law from the catalog in tests/helpers.py; its argv
+# follows the -c script
 CYCLIC_RUN = """
 import sys
-from helpers import LAWS
+import pytest
+from helpers import LAWS, plant_law
 from thetajordan.cli import main
-from thetajordan.heis import ThetaGroup
-for name, law in LAWS["cyclic"].items():
-    setattr(ThetaGroup, name, law)
+plant_law(pytest.MonkeyPatch(), LAWS["cyclic"])
 sys.exit(main(sys.argv[1:]))
 """
 
