@@ -136,9 +136,7 @@ class ThetaGroup:
 
     def _edge_indices(self) -> list[int]:
         """The EDGE_ROUNDS elements as indices, round after round."""
-        # ranks[x]: the rank of the base element whose every digit is x mod
-        # d, for a k or l value x of 0, 1 or -1 (the last element); every d
-        # is at least 2, so all ones is in range
+        # ranks[x]: rank of the base element with every digit x mod d (d >= 2)
         m, base = self.m, self.base
         ranks = (0, base._rank((1,) * base.rank), m - 1)
         return [a % m * self._mm + ranks[k] * m + ranks[l]
