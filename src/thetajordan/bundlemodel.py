@@ -382,23 +382,15 @@ def render_json(doc: dict, fh) -> None:
     _write_batched(fh, chain(encoder.iterencode(doc), "\n"))
 
 
-class _Echo:
-    """A stream whose write returns its text: csv's writerow returns what
-    its stream's write returns, so on _Echo it returns the row's line."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
 def render_csv(doc: dict, fh) -> None:
-    """One verification entry per row, across all classes in the document."""
-    import csv  # only this renderer needs it
-    line = csv.writer(_Echo, lineterminator="\n").writerow
+    """One verification entry per row, across all classes in the document.
+    No field needs CSV quoting: each is an int, a method name, a float or
+    empty, so a row is its fields joined by commas."""
     rows = ([report["manifold_class"],
              *(e.get(field, "") for field in ReportEntry._fields)]
             for report in doc["reports"] for e in report["entries"])
-    _write_batched(fh, map(line, chain([["class", *ReportEntry._fields]], rows)))
+    _write_batched(fh, (",".join(map(str, row)) + "\n"
+                        for row in chain([["class", *ReportEntry._fields]], rows)))
 
 
 def _aligned(rows: list[list[str]]) -> list[str]:

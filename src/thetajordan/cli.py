@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from time import gmtime, strftime
 from typing import NamedTuple
 
 from .abelian import CapExceeded, ENUMERATION_CAP, parse_group_spec
@@ -144,10 +145,9 @@ def run(config: RunConfig):
         print(f"theta-jordan: {exc}", file=sys.stderr)
         return {}, EXIT_USAGE
 
-    generated = None
-    if not config.no_timestamps:
-        from datetime import datetime, timezone  # only timestamped runs need it
-        generated = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    # the UTC time as datetime's isoformat(timespec="seconds") writes it
+    generated = (None if config.no_timestamps
+                 else strftime("%Y-%m-%dT%H:%M:%S+00:00", gmtime()))
     doc = document(reports, _config_echo(config), violations, generated_at=generated)
     render = _RENDERERS[config.output_format]
     try:

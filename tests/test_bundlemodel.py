@@ -580,6 +580,23 @@ class TestRenderWrites:
         assert list(csv.reader(io.StringIO(fh.getvalue()))) == rows
         assert fh.writes <= _batches(len(rows)) + 1
 
+    @pytest.mark.parametrize("argv", [["--max-n", "8"],
+                                      ["--mode", "structural", "--max-n", "1000"]])
+    def test_timed_csv_is_what_csv_writer_writes(self, argv):
+        # with timings on, an elapsed_s float ends every row
+        with contextlib.redirect_stdout(io.StringIO()):
+            doc, code = run(parse_args(["verify", *argv, "--format", "json"]))
+        assert code == 0
+        rows = [["class", *ReportEntry._fields]]
+        rows.extend([report["manifold_class"], *(e[field] for field in ReportEntry._fields)]
+                    for report in doc["reports"] for e in report["entries"])
+        assert all(isinstance(row[-1], float) for row in rows[1:])
+        reference = io.StringIO()
+        csv.writer(reference, lineterminator="\n").writerows(rows)
+        fh = io.StringIO()
+        render_csv(doc, fh)
+        assert fh.getvalue() == reference.getvalue()
+
     def test_table(self, doc):
         fh = _CountingStream()
         render_table(doc, fh)

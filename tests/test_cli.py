@@ -1,9 +1,13 @@
+import ast
 import hashlib
 import json
+import os
+import re
 import shlex
 import subprocess
 import sys
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -41,8 +45,6 @@ def parse(cmdline):
 
 
 def run_cli(args, env=None):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -317,30 +319,73 @@ class TestBinary:
         )
         assert io_err.returncode == EXIT_IO
 
-    def test_cli_imports_only_what_a_run_uses(self):
-        # a fresh interpreter, compared with what it loaded before the import
-        # so that site preloads do not count
-        probe = (
-            "import sys; before = set(sys.modules); import thetajordan.cli; "
-            "print(*sorted(set(sys.modules) - before))"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
-        )
-        added = set(done.stdout.split())
-        assert "thetajordan.cli" in added
-        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "datetime"}
-        assert not added & heavy
+    # The README's list of what `import thetajordan.cli` adds to a fresh
+    # interpreter whose site has loaded typing, random and re.
+    IMPORTED = {
+        "thetajordan", "thetajordan.abelian", "thetajordan.bundlemodel",
+        "thetajordan.cli", "thetajordan.heis", "thetajordan.lattice",
+        "thetajordan.symplectic", "argparse", "gettext", "json", "json.decoder",
+        "json.encoder", "json.scanner", "_json", "__future__",
+    }
+    # One interpreter imports the CLI, then runs it in every format, with and
+    # without timestamps.  -S keeps the machine's site hooks out, and the
+    # script loads typing, random and re itself, so the import's share is the
+    # same on every machine.  It prints a repr: importing json for the output
+    # would hide json from the count.
+    ONE_INTERPRETER = """
+import io, sys
+import random, re, typing
+before = set(sys.modules)
+from thetajordan import cli
+imported = set(sys.modules)
+runs = {}
+for fmt in ("json", "csv", "table"):
+    for stamped in (True, False):
+        sys.stdout = io.StringIO()
+        code = cli.main(["verify", "--max-n", "2", "--format", fmt,
+                         *([] if stamped else ["--no-timestamps"])])
+        out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+        runs[fmt, stamped] = code, out, sorted(set(sys.modules) - imported)
+print(repr((sorted(imported - before), runs)))
+"""
 
-    def test_lazily_imported_paths(self):
-        csv_run = run_cli(["verify", "--max-n", "2", "--format", "csv", "--no-timestamps"])
-        assert csv_run.returncode == EXIT_OK, csv_run.stderr
-        assert csv_run.stdout.startswith(
-            "class,n,group_order,max_abelian_order,min_abelian_index,method,elapsed_s\n"
+    @pytest.fixture(scope="class")
+    def one_interpreter(self):
+        """The import's modules; for each (format, timestamped) run, its exit
+        code, stdout and the modules loaded since the import; and the UTC
+        times, to the second, that bracket the child."""
+        start = datetime.now(timezone.utc).replace(microsecond=0)
+        # a zone west of UTC, so a local time cannot pass for the UTC one
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", self.ONE_INTERPRETER], capture_output=True,
+            text=True, check=True, env=dict(os.environ, TZ="EST+5"),
         )
-        table = run_cli(["verify", "--max-n", "2", "--format", "table"])
-        assert table.returncode == EXIT_OK, table.stderr
-        assert "\ngenerated at " in table.stdout
+        end = datetime.now(timezone.utc)
+        imported, runs = ast.literal_eval(done.stdout)
+        return set(imported), runs, start, end
+
+    def test_cli_imports_only_what_a_run_uses(self, one_interpreter):
+        imported, runs, _, _ = one_interpreter
+        assert imported == self.IMPORTED
+        # a module a run loads stays loaded, so each run's set counts from the
+        # import: all six are equal only if no run loads what the first did not
+        loaded = {run: frozenset(mods) for run, (_, _, mods) in runs.items()}
+        assert len(set(loaded.values())) == 1, loaded
+        assert not loaded["json", True] & {"csv", "datetime"}
+        assert [code for code, _, _ in runs.values()] == [EXIT_OK] * 6
+        header = "class,n,group_order,max_abelian_order,min_abelian_index,method,elapsed_s\n"
+        assert runs["csv", True][1].startswith(header)
+        assert runs["csv", False][1].startswith(header)
+        assert "\ngenerated at " in runs["table", True][1]
+        assert "generated at" not in runs["table", False][1]
+
+    def test_generated_at_is_the_utc_time(self, one_interpreter):
+        _, runs, start, end = one_interpreter
+        stamps = [json.loads(runs["json", True][1])["generated_at"],
+                  runs["table", True][1].split("\n")[1].removeprefix("generated at ")]
+        for stamp in stamps:
+            assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+            assert start <= datetime.fromisoformat(stamp) <= end
 
     def test_byte_identical_json(self):
         args = ["verify", "--no-timestamps", "--format", "json"]
