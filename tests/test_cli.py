@@ -379,6 +379,18 @@ print(repr((sorted(imported - before), runs)))
         assert "\ngenerated at " in runs["table", True][1]
         assert "generated at" not in runs["table", False][1]
 
+    def test_lazily_imported_paths(self):
+        # the CSV rows and the table's timestamp once imported csv and
+        # datetime on demand; both still run through `python -m thetajordan`
+        csv_run = run_cli(["verify", "--max-n", "2", "--format", "csv", "--no-timestamps"])
+        assert csv_run.returncode == EXIT_OK, csv_run.stderr
+        assert csv_run.stdout.startswith(
+            "class,n,group_order,max_abelian_order,min_abelian_index,method,elapsed_s\n"
+        )
+        table = run_cli(["verify", "--max-n", "2", "--format", "table"])
+        assert table.returncode == EXIT_OK, table.stderr
+        assert "\ngenerated at " in table.stdout
+
     def test_generated_at_is_the_utc_time(self, one_interpreter):
         _, runs, start, end = one_interpreter
         stamps = [json.loads(runs["json", True][1])["generated_at"],
